@@ -143,7 +143,7 @@ def cmd_improve(args) -> dict:
     try:
         out_guarantee = lsa_guarantee(reserves, instance)[0]
     except DomainError:
-        out_guarantee, *_ = nature.mechanism_guarantee(lsa, instance)[:1]
+        out_guarantee = nature.mechanism_guarantee(lsa, instance)[0]
     return {
         "type": "corner_hitting",
         "reserves": reserves,
@@ -179,7 +179,7 @@ def cmd_member(args) -> dict:
 
 def cmd_plot_data(args) -> str:
     instance = _parse_instance(_load_json(args.instance))
-    rows = ["" for _ in range(0)]
+    rows = []
     if args.figure == "regimes":
         vmax = instance.common_vmax()
         rows.append("m1,m2,regime,weakly_excluded")

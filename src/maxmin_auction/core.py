@@ -8,6 +8,8 @@ grid (:class:`GridMechanism`).  Bidders are indexed 0..n-1.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -83,6 +85,8 @@ class LinearScoreAuction:
             object.__setattr__(self, "excluded", tuple(False for _ in range(n)))
         if not (len(self.betas) == len(self.vmax) == len(self.excluded) == n):
             raise DomainError("parameter lengths disagree")
+        if not all(map(math.isfinite, (*self.alphas, *self.betas, *self.vmax))):
+            raise DomainError("score parameters and bounds must be finite")
         for i in range(n):
             if self.excluded[i]:
                 continue
@@ -198,12 +202,14 @@ class GridMechanism:
         n = len(coords)
         tables = []
         for i, (c, t) in enumerate(zip(coords, thresholds)):
-            if len(c) < 2 or np.any(np.diff(c) <= 0) or abs(c[0]) > COMP_TOL:
-                raise DomainError("coordinates must increase strictly from 0")
+            if len(c) < 2 or not (abs(c[0]) <= COMP_TOL and np.isfinite(c[-1])
+                                  and np.all(np.diff(c) > 0)):
+                raise DomainError("coordinates must increase strictly from 0 "
+                                  "to a finite bound")
             shape = tuple(len(coords[j]) for j in range(n) if j != i)
             t = np.asarray(t, dtype=float).reshape(shape)
-            if np.any(t < -COMP_TOL) or np.any(t > c[-1] + COMP_TOL):
-                raise DomainError("thresholds must lie in [0, vmax]")
+            if not np.all((t >= -COMP_TOL) & (t <= c[-1] + COMP_TOL)):
+                raise DomainError("thresholds must be finite and lie in [0, vmax]")
             tables.append(t)
         if len(thresholds) != n:
             raise DomainError("one threshold table per bidder required")
@@ -220,8 +226,9 @@ class GridMechanism:
 
     def threshold(self, i: int, v_others: Sequence[float]) -> float:
         """p_i at rival values ``v_others`` by multilinear interpolation."""
-        axes = [self.coords[j] for j in range(self.n) if j != i]
-        return _multilinear(self.thresholds[i], axes, np.asarray(v_others, float))
+        axes = self.coords[:i] + self.coords[i + 1:]
+        cells = [locate(c, float(x)) for c, x in zip(axes, v_others)]
+        return multilinear(self.thresholds[i].ravel(), self.thresholds[i].shape, cells)
 
     def allocate(self, v: Sequence[float]) -> Optional[int]:
         strict = [i for i in range(self.n)
@@ -267,25 +274,24 @@ def _multilinear_batch(table: np.ndarray, axes: list[np.ndarray],
     return out
 
 
-def _multilinear(table: np.ndarray, axes: list[np.ndarray], point: np.ndarray) -> float:
-    """Multilinear interpolation of ``table`` on the product of ``axes``."""
-    idx = []
-    weights = []
-    for c, x in zip(axes, point):
-        x = min(max(float(x), c[0]), c[-1])
-        k = int(np.searchsorted(c, x, side="right") - 1)
-        k = min(max(k, 0), len(c) - 2)
-        h = c[k + 1] - c[k]
-        w = (x - c[k]) / h
-        idx.append(k)
-        weights.append(w)
+def locate(c: Sequence[float], x: float) -> tuple[int, float]:
+    """Cell index and weight of x on the increasing list c, clamped to it."""
+    x = min(max(x, c[0]), c[-1])
+    k = min(max(bisect_right(c, x) - 1, 0), len(c) - 2)
+    return k, (x - c[k]) / (c[k + 1] - c[k])
+
+
+def multilinear(flat: Sequence[float], shape: Sequence[int],
+                cells: list[tuple[int, float]]) -> float:
+    """Interpolate a C-order flattened table of ``shape`` at :func:`locate`'s
+    ``cells``, in :func:`_multilinear_batch`'s arithmetic order (same bits)."""
+    ws, pos = [1.0], [0]
+    for (k, w), size in zip(cells, shape):
+        ws = [a * b for a in ws for b in (1.0 - w, w)]
+        pos = [p * size + d for p in pos for d in (k, k + 1)]
     total = 0.0
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = 1.0
-        for d, bit in enumerate(corner):
-            w *= weights[d] if bit else 1.0 - weights[d]
-        if w:
-            total += w * float(table[tuple(k + bit for k, bit in zip(idx, corner))])
+    for w, p in zip(ws, pos):
+        total += w * flat[p]
     return total
 
 

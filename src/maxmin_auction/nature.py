@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .errors import BoundaryError, DomainError, RegimeError, SizeError
 from .simplex import solve_lp
 
 PROB_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,7 @@ def dedup_sorted(values, tol: float, snap=None) -> np.ndarray:
     out = np.asarray(keep)
     if snap is not None:
         for anchor in snap:
-            close = np.abs(out - anchor) <= tol
-            if np.any(close):
-                out[close] = anchor
+            out[np.abs(out - anchor) <= tol] = anchor
         out = np.unique(out)
     return out
 
@@ -74,6 +75,12 @@ def breakpoint_coords(mech, step: float | None = None,
     if not isinstance(mech, LinearScoreAuction):
         rounds = 3
         max_per_axis = min(max_per_axis, 40 if n == 2 else 24)
+        # Corners of the no-sale region sit where threshold surfaces meet:
+        # crossings (two bidders) and fixed points of the clamped threshold
+        # map with any subset of coordinates pinned at zero.
+        corners = _map_corner_points(mech)
+        if n == 2:
+            corners.extend(_threshold_crossings_2d(mech))
     tol = 1e-12 * max(1.0, max(vmax))
     coords = []
     for i in range(n):
@@ -82,22 +89,12 @@ def breakpoint_coords(mech, step: float | None = None,
             base.append(mech.reserve(i))
         else:
             base.extend(np.asarray(mech.coords[i], dtype=float))
+            base.extend(point[i] for point in corners)
         if extra is not None and extra[i] is not None:
             base.extend(np.asarray(extra[i], dtype=float))
         if step is not None:
             base.extend(np.arange(0.0, vmax[i] + step / 2, step))
         coords.append(dedup_sorted(base, tol, snap=(0.0, vmax[i])))
-    if isinstance(mech, GridMechanism):
-        # Corners of the no-sale region sit where threshold surfaces meet:
-        # crossings (two bidders) and fixed points of the clamped threshold
-        # map with any subset of coordinates pinned at zero.
-        corners = _map_corner_points(mech)
-        if n == 2:
-            corners.extend(_threshold_crossings_2d(mech))
-        for point in corners:
-            for i in range(n):
-                coords[i] = dedup_sorted(np.append(coords[i], point[i]), tol,
-                                         snap=(0.0, vmax[i]))
     for _ in range(rounds):
         grew = False
         snapshot = [c.copy() for c in coords]      # no cascade within a round
@@ -116,43 +113,40 @@ def breakpoint_coords(mech, step: float | None = None,
 
 
 def _map_corner_points(mech: GridMechanism, max_iter: int = 200
-                       ) -> list[np.ndarray]:
+                       ) -> list[tuple[float, ...]]:
     """Extremal fixed points of v -> p(v) with coordinates pinned at zero.
 
     For monotone thresholds the iterations from the bottom and the top of the
-    box converge to the least and greatest fixed points of each pinned map;
-    these are the no-sale corners Nature's worst case can occupy.  All runs
-    iterate as one batch.
+    box approach the least and greatest fixed points of each pinned map;
+    these are the no-sale corners Nature's worst case can occupy.  A start
+    stops after ``max_iter`` steps or once no coordinate moves more than
+    1e-10; convergence is linear, so for score auctions a corner can be
+    unconverged.  Starts left at the cap are counted in a debug log.
     """
-    n = mech.n
-    vmax = np.asarray(mech.vmax)
-    starts, pins = [], []
+    n, vmax = mech.n, mech.vmax
+    coords = [c.tolist() for c in mech.coords]
+    tables = [(t.ravel().tolist(), t.shape) for t in mech.thresholds]
+    points, capped = [], 0
     for mask in range(2 ** n - 1):
-        pinned = np.array([bool(mask >> i & 1) for i in range(n)])
-        for base in (np.zeros(n), vmax.copy()):
-            base = base.copy()
-            base[pinned] = 0.0
-            starts.append(base)
-            pins.append(pinned)
-    V = np.array(starts)
-    P = np.array(pins)
-    active = np.ones(len(V), dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        new = V[rows].copy()
-        for i in range(n):
-            rivals = [j for j in range(n) if j != i]
-            vals = core._multilinear_batch(
-                mech.thresholds[i], [mech.coords[j] for j in rivals],
-                V[np.ix_(rows, rivals)])
-            new[:, i] = np.clip(vals, 0.0, vmax[i])
-        new[P[rows]] = 0.0
-        moved = np.abs(new - V[rows]).max(axis=1) > 1e-10
-        V[rows] = new
-        active[rows] = moved
-    return [v for v in V]
+        free = [i for i in range(n) if not mask >> i & 1]
+        for top in (False, True):
+            v = [vmax[i] if top and i in free else 0.0 for i in range(n)]
+            for _ in range(max_iter):
+                cells = [core.locate(c, x) for c, x in zip(coords, v)]
+                new = [0.0] * n
+                for i in free:
+                    p = core.multilinear(*tables[i], cells[:i] + cells[i + 1:])
+                    new[i] = min(max(p, 0.0), vmax[i])
+                v, old = new, v
+                if all(abs(a - b) <= 1e-10 for a, b in zip(v, old)):
+                    break
+            else:
+                capped += 1
+            points.append(tuple(v))
+    if capped:
+        logger.debug("corner map: %d of %d starts ended at max_iter=%d still "
+                     "moving", capped, len(points), max_iter)
+    return points
 
 
 def _threshold_crossings_2d(mech: GridMechanism) -> list[tuple[float, float]]:

@@ -169,6 +169,14 @@ class TestErrors:
         assert code == 1
         assert "error" in json.loads(err)
 
+    def test_nan_threshold_is_exit_1(self, inst64, tmp_path, capsys):
+        mech = write(tmp_path, "m.json",
+                     {"type": "grid", "coords": [[0, 1], [0, 1]],
+                      "thresholds": [[0.5, float("nan")], [0.5, 0.5]]})
+        code, _, err = run_capture(capsys, ["evaluate", inst64, mech])
+        assert code == 1
+        assert "finite" in json.loads(err)["error"]
+
     def test_unknown_mechanism_type(self, inst64, tmp_path, capsys):
         mech = write(tmp_path, "m.json", {"type": "mystery"})
         code, _, err = run_capture(capsys, ["evaluate", inst64, mech])

@@ -173,6 +173,40 @@ class TestCheckFeasible:
         assert ma.check_feasible(gm) is None
 
 
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_grid_coords(self, bad):
+        with pytest.raises(DomainError):
+            ma.GridMechanism([[0.0, bad, 1.0], [0.0, 1.0]],
+                             [[0.5, 0.5], [0.5, 0.5, 0.5]])
+        with pytest.raises(DomainError):
+            ma.GridMechanism([[0.0, 1.0], [0.0, bad]],
+                             [[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_grid_thresholds(self, bad):
+        with pytest.raises(DomainError):
+            ma.GridMechanism([[0.0, 1.0], [0.0, 1.0]],
+                             [[0.5, bad], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_lsa_parameters(self, bad):
+        with pytest.raises(DomainError):
+            ma.LinearScoreAuction((bad, 0.2), (1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(DomainError):
+            ma.LinearScoreAuction((0.2, 0.2), (1.0, bad), (1.0, 1.0))
+        with pytest.raises(DomainError):
+            ma.LinearScoreAuction((0.2, 0.2), (1.0, 1.0), (1.0, bad))
+
+    def test_excluded_bidder_parameters(self):
+        with pytest.raises(DomainError):
+            ma.LinearScoreAuction((np.nan, 0.2), (1.0, 1.0), (1.0, 1.0),
+                                  (True, False))
+
+
 class TestGridFromLsa:
     def test_rows(self):
         coords = [np.array([0.0, 0.4, 1.0])] * 2
