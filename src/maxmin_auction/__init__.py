@@ -8,9 +8,8 @@ feasible mechanism.
 """
 
 from .core import (DiscreteDistribution, GridMechanism, Instance,
-                   LinearScoreAuction, allocate, check_feasible,
-                   corner_hitting, grid_from_lsa, payment, revenue, score,
-                   threshold)
+                   LinearScoreAuction, check_feasible, corner_hitting,
+                   grid_from_lsa, revenue)
 from .dual import (lsa2_asym_guarantee, lsa2_asym_lagrangian, lsa_guarantee,
                    lsa_lagrangian)
 from .errors import (BoundaryError, DomainError, FeasibilityError,
@@ -32,18 +31,19 @@ from .solve import (Asym2Solution, OptimalSolution, Regime, ReserveSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineThresholds", "Asym2Solution", "BoundaryError", "DiscreteDistribution",
-    "DomainError", "DualCertificate", "FeasibilityError", "GridMechanism",
-    "InfeasibleError", "Instance", "LinearScoreAuction", "NumericalError",
-    "OptimalSolution", "Regime", "RegimeError", "ReserveSet", "SizeError",
-    "UnboundedError", "WorstCaseType", "allocate", "asymmetric2_solve",
-    "breakpoint_coords", "brute_force_min", "check_feasible", "corner_hitting",
-    "det_A", "dominating_lsa", "dual_value", "grand_case_split", "grid_from_lsa",
+    "AffineThresholds", "Asym2Solution", "BoundaryError",
+    "DiscreteDistribution", "DomainError", "DualCertificate",
+    "FeasibilityError", "GridMechanism", "InfeasibleError", "Instance",
+    "LinearScoreAuction", "NumericalError", "OptimalSolution", "Regime",
+    "RegimeError", "ReserveSet", "SizeError", "UnboundedError",
+    "WorstCaseType", "asymmetric2_solve", "breakpoint_coords",
+    "brute_force_min", "check_feasible", "corner_hitting", "det_A",
+    "dominating_lsa", "dual_value", "grand_case_split", "grid_from_lsa",
     "lagrangian_on_grid", "least_fixed_point", "lower_revenue_table",
     "lsa2_asym_guarantee", "lsa2_asym_lagrangian", "lsa2_dual_multipliers",
     "lsa2_guarantee", "lsa_guarantee", "lsa_lagrangian", "matrix_A",
     "mechanism_guarantee", "member", "optimal_lambda", "optimal_reserves",
-    "payment", "regime", "reserve_is_optimal", "revenue", "score",
-    "symmetric_reserve_set", "threshold", "tilde_transform",
-    "wcdistr2_classify", "wcdistr2_construct", "worst_case_lp",
+    "regime", "reserve_is_optimal", "revenue", "symmetric_reserve_set",
+    "tilde_transform", "wcdistr2_classify", "wcdistr2_construct",
+    "worst_case_lp",
 ]

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import improve, nature, optset, solve
+from . import core, improve, nature, optset, solve
 from .core import GridMechanism, Instance, LinearScoreAuction, corner_hitting
 from .errors import DomainError
 
@@ -63,12 +63,9 @@ def _parse_mechanism(data, instance: Instance):
 
 
 def _as_grid(mech, instance: Instance) -> GridMechanism:
-    from .core import grid_from_lsa
-
     if isinstance(mech, GridMechanism):
         return mech
-    coords = nature.breakpoint_coords(mech)
-    return grid_from_lsa(mech, coords)
+    return core.grid_from_lsa(mech, nature.breakpoint_coords(mech))
 
 
 def _distribution_json(dist) -> dict:

@@ -152,6 +152,23 @@ class LinearScoreAuction:
             t[winner] = self.threshold(winner, drop(v, winner))
         return t
 
+    def tables(self, coords) -> list[np.ndarray]:
+        """p_i on the product of bidder i's rival coordinate lists, each i."""
+        out = []
+        for i in range(self.n):
+            axes = rival_axes(coords, i)
+            shape = tuple(a.size for _, a in axes)
+            if self.excluded[i]:
+                out.append(np.full(shape, self.vmax[i]))
+                continue
+            best = np.zeros(shape)
+            for j, a in axes:
+                if not self.excluded[j]:
+                    best = np.maximum(best, self.betas[j] * a - self.alphas[j])
+            p = (self.alphas[i] + best) / self.betas[i]
+            out.append(np.clip(p, 0.0, self.vmax[i]))
+        return out
+
 
 def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
     """Auction whose included bidders all have maximal score one.
@@ -249,8 +266,37 @@ class GridMechanism:
             t[winner] = self.threshold(winner, drop(v, winner))
         return t
 
+    def tables(self, coords) -> list[np.ndarray]:
+        """p_i on the product of bidder i's rival coordinate lists, each i;
+        ``np.interp`` for one rival, multilinear interpolation for more."""
+        out = []
+        for i, t in enumerate(self.thresholds):
+            rivals = [j for j in range(self.n) if j != i]
+            axes = [coords[j] for j in rivals]
+            if len(rivals) == 1:
+                out.append(np.interp(axes[0], self.coords[rivals[0]], t))
+            else:
+                out.append(_multilinear_batch(
+                    t, [self.coords[j] for j in rivals], grid_nodes(axes)
+                ).reshape(tuple(len(a) for a in axes)))
+        return out
+
 
 Mechanism = Union[LinearScoreAuction, GridMechanism]
+
+
+def grid_nodes(coords) -> np.ndarray:
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def rival_axes(coords, i: int) -> list[tuple[int, np.ndarray]]:
+    """Bidder i's rivals j, in increasing order, each with ``coords[j]``
+    shaped to run along j's axis of the rival grid."""
+    rivals = [j for j in range(len(coords)) if j != i]
+    return [(j, np.asarray(coords[j], dtype=float).reshape(
+        [-1 if e == d else 1 for e in range(len(rivals))]))
+        for d, j in enumerate(rivals)]
 
 
 def _multilinear_batch(table: np.ndarray, axes: list[np.ndarray],
@@ -295,22 +341,6 @@ def multilinear(flat: Sequence[float], shape: Sequence[int],
     return total
 
 
-def score(lsa: LinearScoreAuction, i: int, v_i: float) -> float:
-    return lsa.score(i, v_i)
-
-
-def allocate(mech: Mechanism, v: Sequence[float]) -> Optional[int]:
-    return mech.allocate(v)
-
-
-def threshold(mech: Mechanism, i: int, v_others: Sequence[float]) -> float:
-    return mech.threshold(i, v_others)
-
-
-def payment(mech: Mechanism, v: Sequence[float]) -> np.ndarray:
-    return mech.payment(v)
-
-
 def revenue(mech: Mechanism, v: Sequence[float]) -> float:
     """Total transfer collected at profile v."""
     return float(np.sum(mech.payment(v)))
@@ -335,18 +365,21 @@ def check_feasible(mech: GridMechanism) -> Optional[SupplyViolation]:
 
 def grid_from_lsa(lsa: LinearScoreAuction, coords) -> GridMechanism:
     """Tabulate an affine-score mechanism's thresholds on the given grids."""
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    n = lsa.n
-    tables = []
-    for i in range(n):
-        axes = [coords[j] for j in range(n) if j != i]
-        shape = tuple(len(a) for a in axes)
-        t = np.empty(shape)
-        for node in itertools.product(*(range(s) for s in shape)):
-            w = [axes[d][k] for d, k in enumerate(node)]
-            t[node] = lsa.threshold(i, w)
-        tables.append(t)
-    return GridMechanism(coords, tables)
+    if len(coords) != lsa.n:
+        raise DomainError("need one grid axis per bidder")
+    mech = GridMechanism(coords, lsa.tables(coords))   # axes start at 0
+    if any(v > vm + COMP_TOL for v, vm in zip(mech.vmax, lsa.vmax)):
+        raise DomainError(f"grid reaches past the bounds {lsa.vmax}")
+    return mech
+
+
+def check_compatible(mech, instance: Instance) -> None:
+    """Raise unless the mechanism has the instance's bidders and bounds."""
+    if mech.n != instance.n or max(
+            abs(a - b) for a, b in zip(mech.vmax, instance.vmax)) > COMP_TOL:
+        raise DomainError(f"mechanism (n={mech.n}, vmax {mech.vmax}) does not "
+                          f"fit the instance (n={instance.n}, vmax "
+                          f"{instance.vmax})")
 
 
 @dataclass(frozen=True)

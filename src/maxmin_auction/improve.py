@@ -8,15 +8,14 @@ reserves off the least fixed point of the resulting monotone map.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import nature
 from .core import (GridMechanism, Instance, LinearScoreAuction,
-                   check_feasible, corner_hitting, drop)
+                   check_feasible, corner_hitting, drop, rival_axes)
 from .errors import DomainError, FeasibilityError, NumericalError
 
 
@@ -41,8 +40,10 @@ class AffineThresholds:
         total = float(self.lam @ v)
         return np.maximum(total - self.lam * v + self.b, 0.0)
 
-
-Thresholds = Union[GridMechanism, AffineThresholds, LinearScoreAuction]
+    def tables(self, coords) -> list[np.ndarray]:
+        """p_i on the product of bidder i's rival coordinate lists, each i."""
+        return [np.maximum(sum(self.lam[j] * a for j, a in rival_axes(coords, i))
+                           + self.b[i], 0.0) for i in range(self.n)]
 
 
 def matrix_A(lam) -> np.ndarray:
@@ -70,21 +71,13 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
     lam = np.asarray(lam, dtype=float)
     if np.all(lam >= 0.0):
         return mech, lam.copy()
-    n = mech.n
-    neg = [i for i in range(n) if lam[i] < 0.0]
     tables = []
-    for i in range(n):
-        if i in neg:
-            tables.append(np.full(mech.thresholds[i].shape, mech.vmax[i]))
-            continue
-        rivals = [j for j in range(n) if j != i]
-        axes = [mech.coords[j] for j in rivals]
-        t = np.empty(tuple(len(a) for a in axes))
-        for node in itertools.product(*(range(len(a)) for a in axes)):
-            w = [0.0 if rivals[d] in neg else axes[d][k]
-                 for d, k in enumerate(node)]
-            t[node] = mech.threshold(i, w)
-        tables.append(t)
+    for i, t in enumerate(mech.thresholds):
+        # a priced-out rival sits at her lowest node, v_j = 0
+        pin = tuple(slice(0, 1) if lam[j] < 0.0 else slice(None)
+                    for j in range(mech.n) if j != i)
+        tables.append(np.full(t.shape, mech.vmax[i]) if lam[i] < 0.0
+                      else np.broadcast_to(t[pin], t.shape).copy())
     return GridMechanism(mech.coords, tables), np.maximum(lam, 0.0)
 
 
@@ -93,17 +86,9 @@ def tilde_transform(mech: GridMechanism, lam) -> AffineThresholds:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0.0):
         raise DomainError("minorant slopes must be nonnegative")
-    n = mech.n
-    b = np.empty(n)
-    for i in range(n):
-        rivals = [j for j in range(n) if j != i]
-        axes = [mech.coords[j] for j in rivals]
-        lam_others = lam[rivals]
-        best = np.inf
-        for node in itertools.product(*axes):
-            w = np.asarray(node)
-            best = min(best, mech.threshold(i, w) - float(lam_others @ w))
-        b[i] = best
+    b = np.array([np.min(t - sum(lam[j] * a
+                                 for j, a in rival_axes(mech.coords, i)))
+                  for i, t in enumerate(mech.thresholds)])
     return AffineThresholds(b=b, lam=lam.copy(), vmax=mech.vmax)
 
 
@@ -186,9 +171,11 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
     return v
 
 
-def lagrangian_on_grid(thresholds: Thresholds, lam, instance: Instance,
+def lagrangian_on_grid(thresholds, lam, instance: Instance,
                        coords=None) -> float:
     """Reduced revenue functional on a grid: lam @ m plus the worst infimum.
+
+    ``thresholds`` is any mechanism that tabulates itself with ``tables``.
 
     Winner regions use weak inequalities with the threshold as the collected
     value; the no-sale region uses strict ones and contributes -lam @ v.
@@ -206,7 +193,7 @@ def lagrangian_on_grid(thresholds: Thresholds, lam, instance: Instance,
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-12 * scale
 
-    tables = nature.threshold_tables(thresholds, coords)
+    tables = thresholds.tables(coords)
     grids = np.meshgrid(*coords, indexing="ij")
     lam_dot_v = sum(lam[i] * grids[i] for i in range(n))
     best = np.inf

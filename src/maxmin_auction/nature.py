@@ -20,7 +20,8 @@ import numpy as np
 
 from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
-                   LinearScoreAuction, corner_hitting)
+                   LinearScoreAuction, check_compatible, corner_hitting,
+                   grid_nodes)
 from .errors import BoundaryError, DomainError, RegimeError, SizeError
 from .simplex import solve_lp
 
@@ -98,7 +99,7 @@ def breakpoint_coords(mech, step: float | None = None,
     for _ in range(rounds):
         grew = False
         snapshot = [c.copy() for c in coords]      # no cascade within a round
-        induced = threshold_tables(mech, snapshot)
+        induced = mech.tables(snapshot)
         for i in range(n):
             merged = dedup_sorted(np.concatenate(
                 [coords[i], induced[i].ravel()]), tol, snap=(0.0, vmax[i]))
@@ -173,66 +174,10 @@ def _threshold_crossings_2d(mech: GridMechanism) -> list[tuple[float, float]]:
     return out
 
 
-def grid_nodes(coords) -> np.ndarray:
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
-
-
 def threshold_tables(mech, coords) -> list[np.ndarray]:
-    """p_i evaluated on the product of the other bidders' coordinate lists."""
-    from .improve import AffineThresholds
-
-    n = len(coords)
-    if isinstance(mech, LinearScoreAuction):
-        return _lsa_threshold_tables(mech, coords)
-    tables = []
-    for i in range(n):
-        axes = [coords[j] for j in range(n) if j != i]
-        if isinstance(mech, AffineThresholds):
-            lam = np.asarray(mech.lam)
-            rivals = [j for j in range(n) if j != i]
-            acc = np.zeros(tuple(len(a) for a in axes))
-            for d, j in enumerate(rivals):
-                shape = [1] * len(axes)
-                shape[d] = len(axes[d])
-                acc = acc + lam[j] * axes[d].reshape(shape)
-            tables.append(np.maximum(acc + mech.b[i], 0.0))
-            continue
-        if n == 2:
-            rival = 1 - i
-            tables.append(np.interp(axes[0], mech.coords[rival],
-                                    mech.thresholds[i]))
-            continue
-        shape = tuple(len(a) for a in axes)
-        rival = [j for j in range(n) if j != i]
-        pts = grid_nodes(axes)
-        vals = core._multilinear_batch(
-            mech.thresholds[i], [mech.coords[j] for j in rival], pts)
-        tables.append(vals.reshape(shape))
-    return tables
-
-
-def _lsa_threshold_tables(mech: LinearScoreAuction, coords) -> list[np.ndarray]:
-    n = len(coords)
-    tables = []
-    for i in range(n):
-        rivals = [j for j in range(n) if j != i]
-        axes = [coords[j] for j in rivals]
-        shape = tuple(len(a) for a in axes)
-        if mech.excluded[i]:
-            tables.append(np.full(shape, mech.vmax[i]))
-            continue
-        best = np.zeros(shape)
-        for d, j in enumerate(rivals):
-            if mech.excluded[j]:
-                continue
-            sh = [1] * len(axes)
-            sh[d] = len(axes[d])
-            score_j = (mech.betas[j] * axes[d] - mech.alphas[j]).reshape(sh)
-            best = np.maximum(best, score_j)
-        p = (mech.alphas[i] + best) / mech.betas[i]
-        tables.append(np.clip(p, 0.0, mech.vmax[i]))
-    return tables
+    """p_i evaluated on the product of the other bidders' coordinate lists
+    (the mechanism's own ``tables``, under a module-level name)."""
+    return mech.tables(coords)
 
 
 def _zero_reachable_2d(mech: GridMechanism, x: float, y: float,
@@ -334,7 +279,7 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
                               "no-sale limit; refine the grid")
         return t
 
-    tables = threshold_tables(mech, coords)
+    tables = mech.tables(coords)
     t = np.full(shape, np.inf)
     below = np.ones(shape, dtype=bool)       # v_i <= p_i for all i
     strictly_below = np.ones(shape, dtype=bool)
@@ -442,6 +387,7 @@ def brute_force_min(coords, t, instance: Instance,
 
 def mechanism_guarantee(mech, instance: Instance, step: float | None = None):
     """Breakpoint grid + lower-envelope tabulation + LP, in one call."""
+    check_compatible(mech, instance)
     coords = breakpoint_coords(mech, step=step)
     t = lower_revenue_table(mech, coords)
     value, dist, cert = worst_case_lp(coords, t, instance)

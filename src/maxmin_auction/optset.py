@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solve
-from .core import GridMechanism, Instance
+from .core import GridMechanism, Instance, check_compatible
 from .errors import DomainError
 from .solve import Regime
 
@@ -49,6 +49,7 @@ def member(mech: GridMechanism, instance: Instance,
 
     Returns the verdict plus every violated envelope condition with a witness.
     """
+    check_compatible(mech, instance)
     if instance.n != 2:
         raise DomainError("optimal-set characterization covers two bidders")
     vmax = instance.common_vmax()

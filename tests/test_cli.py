@@ -17,6 +17,10 @@ def inst64(tmp_path):
                  {"n": 2, "vmax": [1, 1], "means": [0.64, 0.64]})
 
 
+GRID_2 = {"type": "grid", "coords": [[0.0, 0.2, 0.5, 1.0]] * 2,
+          "thresholds": [[1.0] * 4, [0.2, 0.26, 0.35, 0.5]]}
+
+
 def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -181,3 +185,21 @@ class TestErrors:
         mech = write(tmp_path, "m.json", {"type": "mystery"})
         code, _, err = run_capture(capsys, ["evaluate", inst64, mech])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "improve", "member"])
+    def test_bidder_count_mismatch_is_exit_1(self, tmp_path, capsys, command):
+        inst = write(tmp_path, "i.json",
+                     {"n": 3, "vmax": [1, 1, 1], "means": [0.5, 0.5, 0.5]})
+        mech = write(tmp_path, "m.json", GRID_2)
+        code, out, err = run_capture(capsys, [command, inst, mech])
+        assert code == 1 and out == ""
+        assert "n=2" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "improve", "member"])
+    def test_bound_mismatch_is_exit_1(self, tmp_path, capsys, command):
+        inst = write(tmp_path, "i.json",
+                     {"n": 2, "vmax": [2, 2], "means": [0.5, 0.5]})
+        mech = write(tmp_path, "m.json", GRID_2)
+        code, out, err = run_capture(capsys, [command, inst, mech])
+        assert code == 1 and out == ""
+        assert "vmax" in json.loads(err)["error"]

@@ -223,6 +223,55 @@ class TestGridFromLsa:
         gm = ma.grid_from_lsa(ma.corner_hitting([1.0, 0.3], [1.0, 1.0]), coords)
         assert gm.thresholds[0] == pytest.approx([1.0, 1.0, 1.0])
 
+    def test_grid_outside_box_raises(self):
+        with pytest.raises(DomainError):
+            ma.grid_from_lsa(lsa_04(), [[0.0, 0.5, 1.0], [0.0, 0.5, 1.5]])
+        with pytest.raises(DomainError):
+            ma.grid_from_lsa(lsa_04(), [[-0.1, 0.5, 1.0], [0.0, 1.0]])
+
+
+def two_bidder_grid(vmax=1.0):
+    c = [0.0, 0.2 * vmax, 0.5 * vmax, vmax]
+    return ma.GridMechanism([c, c], [[vmax] * 4, [0.2 * vmax + 0.3 * x
+                                                  for x in c]])
+
+
+class TestCompatibility:
+    """Entry points reject a mechanism built for another instance."""
+
+    ENTRY_POINTS = [ma.mechanism_guarantee, ma.dominating_lsa, ma.member]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS,
+                             ids=lambda f: f.__name__)
+    def test_bidder_count_mismatch(self, entry):
+        with pytest.raises(DomainError, match="n=2"):
+            entry(two_bidder_grid(), ma.Instance(3, [0.5] * 3, 1.0))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS,
+                             ids=lambda f: f.__name__)
+    def test_bound_mismatch(self, entry):
+        with pytest.raises(DomainError, match="vmax"):
+            entry(two_bidder_grid(), ma.Instance(2, [0.5, 0.5], 2.0))
+        with pytest.raises(DomainError, match="vmax"):
+            entry(two_bidder_grid(2.0), ma.Instance(2, [0.5, 0.5], 1.0))
+
+    def test_lsa_bidder_count_mismatch(self):
+        lsa = ma.corner_hitting([0.3, 0.3, 0.3], [1.0] * 3)
+        with pytest.raises(DomainError):
+            ma.mechanism_guarantee(lsa, ma.Instance(2, [0.5, 0.5], 1.0))
+
+    def test_bounds_within_tolerance_pass(self):
+        gm = two_bidder_grid()
+        inst = ma.Instance(2, [0.5, 0.5], 1.0 + 1e-13)
+        assert ma.mechanism_guarantee(gm, inst)[0] == pytest.approx(
+            0.0375, abs=1e-6)
+
+
+def test_public_names_resolve_once():
+    assert len(ma.__all__) == len(set(ma.__all__))
+    for name in ma.__all__:
+        assert getattr(ma, name) is not None
+
 
 class TestDiscreteDistribution:
     def test_validation(self):

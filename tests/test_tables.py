@@ -1,0 +1,245 @@
+"""Each mechanism's ``tables`` against the tabulators it replaced: the
+type-dispatching ``threshold_tables`` with its separate LSA routine, and the
+per-node loops of ``grid_from_lsa``, ``grand_case_split`` and
+``tilde_transform``.  Same tables, the same bits; ``tilde_transform``'s
+intercepts within one ulp of the largest term, because the old loop took
+``lam @ w`` as a dot product, which may fuse a multiply and an add."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import maxmin_auction as ma
+from generators import random_excluded_mechanism, random_score_auction
+from maxmin_auction import core, nature
+from maxmin_auction.improve import AffineThresholds
+
+
+def reference_lsa_tables(mech, coords):
+    n = len(coords)
+    tables = []
+    for i in range(n):
+        rivals = [j for j in range(n) if j != i]
+        axes = [coords[j] for j in rivals]
+        shape = tuple(len(a) for a in axes)
+        if mech.excluded[i]:
+            tables.append(np.full(shape, mech.vmax[i]))
+            continue
+        best = np.zeros(shape)
+        for d, j in enumerate(rivals):
+            if mech.excluded[j]:
+                continue
+            sh = [1] * len(axes)
+            sh[d] = len(axes[d])
+            score_j = (mech.betas[j] * axes[d] - mech.alphas[j]).reshape(sh)
+            best = np.maximum(best, score_j)
+        p = (mech.alphas[i] + best) / mech.betas[i]
+        tables.append(np.clip(p, 0.0, mech.vmax[i]))
+    return tables
+
+
+def reference_threshold_tables(mech, coords):
+    """The type ladder that tabulated every mechanism kind in one routine."""
+    n = len(coords)
+    if isinstance(mech, ma.LinearScoreAuction):
+        return reference_lsa_tables(mech, coords)
+    tables = []
+    for i in range(n):
+        axes = [coords[j] for j in range(n) if j != i]
+        if isinstance(mech, AffineThresholds):
+            lam = np.asarray(mech.lam)
+            rivals = [j for j in range(n) if j != i]
+            acc = np.zeros(tuple(len(a) for a in axes))
+            for d, j in enumerate(rivals):
+                shape = [1] * len(axes)
+                shape[d] = len(axes[d])
+                acc = acc + lam[j] * axes[d].reshape(shape)
+            tables.append(np.maximum(acc + mech.b[i], 0.0))
+            continue
+        if n == 2:
+            tables.append(np.interp(axes[0], mech.coords[1 - i],
+                                    mech.thresholds[i]))
+            continue
+        shape = tuple(len(a) for a in axes)
+        rival = [j for j in range(n) if j != i]
+        vals = core._multilinear_batch(
+            mech.thresholds[i], [mech.coords[j] for j in rival],
+            nature.grid_nodes(axes))
+        tables.append(vals.reshape(shape))
+    return tables
+
+
+def reference_grid_from_lsa(lsa, coords):
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    n = lsa.n
+    tables = []
+    for i in range(n):
+        axes = [coords[j] for j in range(n) if j != i]
+        shape = tuple(len(a) for a in axes)
+        t = np.empty(shape)
+        for node in itertools.product(*(range(s) for s in shape)):
+            t[node] = lsa.threshold(i, [axes[d][k] for d, k in enumerate(node)])
+        tables.append(t)
+    return tables
+
+
+def reference_split_tables(mech, lam):
+    n = mech.n
+    neg = [i for i in range(n) if lam[i] < 0.0]
+    tables = []
+    for i in range(n):
+        if i in neg:
+            tables.append(np.full(mech.thresholds[i].shape, mech.vmax[i]))
+            continue
+        rivals = [j for j in range(n) if j != i]
+        axes = [mech.coords[j] for j in rivals]
+        t = np.empty(tuple(len(a) for a in axes))
+        for node in itertools.product(*(range(len(a)) for a in axes)):
+            w = [0.0 if rivals[d] in neg else axes[d][k]
+                 for d, k in enumerate(node)]
+            t[node] = mech.threshold(i, w)
+        tables.append(t)
+    return tables
+
+
+def reference_intercepts(mech, lam):
+    n = mech.n
+    b = np.empty(n)
+    for i in range(n):
+        rivals = [j for j in range(n) if j != i]
+        best = np.inf
+        for node in itertools.product(*(mech.coords[j] for j in rivals)):
+            w = np.asarray(node)
+            best = min(best, mech.threshold(i, w) - float(lam[rivals] @ w))
+        b[i] = best
+    return b
+
+
+def tabulated_auction(rng, n):
+    lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, n), [1.0] * n)
+    return ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+
+
+def excluded_lsa(rng, n, k):
+    """Corner-hitting auction with its first k bidders excluded."""
+    r = rng.uniform(0.0, 0.9, n)
+    r[:k] = 1.0
+    return ma.corner_hitting(r, [1.0] * n)
+
+
+def lsas():
+    rng = np.random.default_rng(2007)
+    out = []
+    for n in (2, 3):
+        out += [ma.corner_hitting(rng.uniform(0.0, 0.9, n), [1.0] * n)
+                for _ in range(4)]
+        out += [excluded_lsa(rng, n, 1) for _ in range(2)]
+        for excluded in [(False,) * n, (True,) + (False,) * (n - 1)]:
+            # an excluded bidder's score would be positive if compared
+            out.append(ma.LinearScoreAuction(
+                tuple(rng.uniform(0.0, 0.5, n)),
+                tuple(rng.uniform(0.5, 2.0, n)), (1.0,) * n, excluded))
+    # bidder 2's rivals are all excluded: her table keeps the rival grid shape
+    out.append(excluded_lsa(rng, 3, 2))
+    return out
+
+
+def grid_mechanisms():
+    rng = np.random.default_rng(2008)
+    out = []
+    for n in (2, 3):
+        out += [random_score_auction(rng, n) for _ in range(6)]
+        out += [tabulated_auction(rng, n) for _ in range(3)]
+    out += [random_excluded_mechanism(rng) for _ in range(3)]
+    out += [ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+            for lsa in (excluded_lsa(rng, 2, 1), excluded_lsa(rng, 3, 1),
+                        excluded_lsa(rng, 3, 2))]
+    return out
+
+
+def affine_thresholds():
+    rng = np.random.default_rng(2009)
+    return [AffineThresholds(rng.uniform(-0.3, 0.5, n), rng.uniform(0.0, 1.5, n),
+                             (1.0,) * n) for n in (2, 2, 3, 3)]
+
+
+LSAS = lsas()
+GRIDS = grid_mechanisms()
+MECHANISMS = LSAS + GRIDS + affine_thresholds()
+
+
+def test_corpus_has_an_lsa_with_every_rival_excluded():
+    assert any(lsa.n == 3 and not lsa.excluded[2] and all(lsa.excluded[:2])
+               for lsa in LSAS)
+
+
+def evaluation_grids(mech):
+    """The mechanism's breakpoint grid (when it has one) and a step grid."""
+    rng = np.random.default_rng(mech.n)
+    step = [np.unique(np.concatenate([np.linspace(0.0, v, 7),
+                                      rng.uniform(0.0, v, 3)]))
+            for v in mech.vmax]
+    if isinstance(mech, AffineThresholds):
+        return [step]
+    return [nature.breakpoint_coords(mech), step]
+
+
+def assert_same_tables(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mech", MECHANISMS,
+                         ids=[f"{type(m).__name__}{m.n}-{k}"
+                              for k, m in enumerate(MECHANISMS)])
+def test_tables_match_reference(mech):
+    for coords in evaluation_grids(mech):
+        ref = reference_threshold_tables(mech, coords)
+        assert_same_tables(mech.tables(coords), ref)
+        assert_same_tables(nature.threshold_tables(mech, coords), ref)
+
+
+@pytest.mark.parametrize("lsa", LSAS, ids=[f"lsa{m.n}-{k}"
+                                          for k, m in enumerate(LSAS)])
+def test_grid_from_lsa_matches_reference(lsa):
+    for coords in evaluation_grids(lsa):
+        assert_same_tables(ma.grid_from_lsa(lsa, coords).thresholds,
+                           reference_grid_from_lsa(lsa, coords))
+
+
+def sign_patterns(n):
+    """Multiplier vectors with at least one negative entry."""
+    mags = np.linspace(0.3, 0.9, n)
+    return [np.where(np.array(signs) < 0, -mags, mags)
+            for signs in itertools.product((-1, 1), repeat=n)
+            if min(signs) < 0]
+
+
+@pytest.mark.parametrize("mech", GRIDS, ids=[f"grid{m.n}-{k}"
+                                            for k, m in enumerate(GRIDS)])
+def test_grand_case_split_matches_reference(mech):
+    for lam in sign_patterns(mech.n):
+        out, lam_out = ma.grand_case_split(mech, lam)
+        assert_same_tables(out.thresholds, reference_split_tables(mech, lam))
+        assert np.array_equal(lam_out, np.maximum(lam, 0.0))
+
+
+@pytest.mark.parametrize("mech", GRIDS, ids=[f"grid{m.n}-{k}"
+                                            for k, m in enumerate(GRIDS)])
+def test_tilde_transform_within_one_ulp(mech):
+    rng = np.random.default_rng(13)
+    for lam in [np.zeros(mech.n), rng.uniform(0.0, 1.5, mech.n),
+                rng.uniform(0.0, 0.5, mech.n)]:
+        b = ma.tilde_transform(mech, lam).b
+        ref = reference_intercepts(mech, lam)
+        if mech.n == 2:                    # one rival: a product, no dot
+            assert np.array_equal(b, ref)
+            continue
+        vmax = np.asarray(mech.vmax)
+        for i in range(mech.n):            # one ulp of the largest term
+            rival_sum = float(np.delete(lam * vmax, i).sum())
+            assert abs(b[i] - ref[i]) <= 2.3e-16 * max(1.0, vmax.max(),
+                                                       rival_sum)
