@@ -39,13 +39,26 @@ def lsa_lagrangian(r, lam, instance: Instance) -> float:
     return float(lam @ instance.mean_vector + inner)
 
 
-def _guarantee_lp(terms_A: np.ndarray, terms_b: np.ndarray,
+def _guarantee_lp(wall_A: list, wall_b: list, r: np.ndarray, vmax,
                   means: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize means @ lam + u subject to u <= terms_b - terms_A @ lam, lam >= 0.
 
-    Variables are (lam, u+, u-, slacks); every right-hand side is nonnegative,
-    so the two-phase simplex starts cleanly.
+    The terms are the given wall rows, then one row per bidder
+    (u <= r_i - lam_{-i} r_{-i} - lam_i vmax_i), then the no-sale row
+    (u <= -lam @ r) when every reserve is positive.  Variables are
+    (lam, u+, u-, slacks); every right-hand side is nonnegative, so the
+    two-phase simplex starts cleanly.
     """
+    rows, rhs = list(wall_A), list(wall_b)
+    for i in range(len(r)):
+        row = r.copy()
+        row[i] = vmax[i]
+        rows.append(row)
+        rhs.append(r[i])
+    if np.all(r > 0.0):                    # no-sale region nonempty
+        rows.append(r.copy())
+        rhs.append(0.0)
+    terms_A, terms_b = np.asarray(rows), np.asarray(rhs)
     n = means.shape[0]
     k = terms_A.shape[0]
     ncols = n + 2 + k
@@ -70,19 +83,8 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
     if np.any(r < 0) or np.any(r > vmax + 1e-12):
         raise DomainError("reserves outside the box")
     n = instance.n
-    rows = [np.full(n, vmax)]                     # u <= vmax (1 - sum lam)
-    rhs = [vmax]
-    for i in range(n):
-        row = r.copy()
-        row[i] = vmax
-        rows.append(row)                          # u <= r_i - lam_{-i} r_{-i} - lam_i vmax
-        rhs.append(r[i])
-    if np.all(r > 0.0):
-        rows.append(r.copy())                     # u <= -lam @ r
-        rhs.append(0.0)
-    value, lam = _guarantee_lp(np.asarray(rows), np.asarray(rhs),
-                               instance.mean_vector)
-    return value, lam
+    return _guarantee_lp([np.full(n, vmax)], [vmax],   # u <= vmax (1 - sum lam)
+                         r, [vmax] * n, instance.mean_vector)
 
 
 def _asym_checks(r, v1_tilde, lam, instance: Instance):
@@ -117,17 +119,5 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndarray]:
     """Maximize the asymmetric-bound Lagrangian over nonnegative multipliers."""
     r, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
-    rows = [np.array([v1, v2]), np.array([v1_tilde, v2])]
-    rhs = [v1_tilde, v2]
-    vmaxes = (v1, v2)
-    for i in range(2):
-        row = r.copy()
-        row[i] = vmaxes[i]
-        rows.append(row)
-        rhs.append(r[i])
-    if np.all(r > 0.0):
-        rows.append(r.copy())
-        rhs.append(0.0)
-    value, lam = _guarantee_lp(np.asarray(rows), np.asarray(rhs),
-                               instance.mean_vector)
-    return value, lam
+    return _guarantee_lp([np.array([v1, v2]), np.array([v1_tilde, v2])],
+                         [v1_tilde, v2], r, (v1, v2), instance.mean_vector)

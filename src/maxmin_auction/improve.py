@@ -15,7 +15,8 @@ import numpy as np
 
 from . import nature
 from .core import (GridMechanism, Instance, LinearScoreAuction,
-                   check_feasible, corner_hitting, drop, rival_axes)
+                   check_compatible, check_feasible, corner_hitting, drop,
+                   rival_axes)
 from .errors import DomainError, FeasibilityError, NumericalError
 
 
@@ -177,11 +178,16 @@ def lagrangian_on_grid(thresholds, lam, instance: Instance,
 
     ``thresholds`` is any mechanism that tabulates itself with ``tables``.
 
-    Winner regions use weak inequalities with the threshold as the collected
-    value; the no-sale region uses strict ones and contributes -lam @ v.
-    Defined for infeasible threshold tuples as well.
+    This is ``nature.dual_value`` on a table with strict no-sale ties:
+    winner regions use weak inequalities with the threshold as the collected
+    value; the no-sale region uses strict ones and collects zero.  Defined
+    for infeasible threshold tuples as well.  Raises ``DomainError`` when
+    the thresholds or the multipliers do not fit the instance.
     """
     lam = np.asarray(lam, dtype=float)
+    check_compatible(thresholds, instance)
+    if lam.shape != (instance.n,):
+        raise DomainError(f"need {instance.n} multipliers, got {lam.shape}")
     if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
         raise DomainError("affine minorants assume nonnegative multipliers")
     if coords is None:
@@ -189,24 +195,17 @@ def lagrangian_on_grid(thresholds, lam, instance: Instance,
             if not isinstance(thresholds, AffineThresholds) \
             else [np.array([0.0, v]) for v in thresholds.vmax]
     coords = [np.asarray(c, dtype=float) for c in coords]
-    n = len(coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-12 * scale
 
-    tables = thresholds.tables(coords)
-    grids = np.meshgrid(*coords, indexing="ij")
-    lam_dot_v = sum(lam[i] * grids[i] for i in range(n))
-    best = np.inf
-    no_sale = np.ones(grids[0].shape, dtype=bool)
-    for i in range(n):
-        p_i = np.expand_dims(tables[i], axis=i)
-        win = grids[i] >= p_i - tol
-        if np.any(win):
-            best = min(best, float(np.min((p_i - lam_dot_v)[win])))
-        no_sale &= grids[i] < p_i           # strict: ties never sit in W0
-    if np.any(no_sale):
-        best = min(best, float(np.min(-lam_dot_v[no_sale])))
-    return float(lam @ instance.mean_vector + best)
+    grids = np.meshgrid(*coords, indexing="ij", sparse=True)
+    tables = [np.expand_dims(p, axis=i)
+              for i, p in enumerate(thresholds.tables(coords))]
+    t = nature.least_winning_threshold(grids, tables, tol)
+    no_sale = np.all([g < p for g, p in zip(grids, tables)],
+                     axis=0)                 # strict: ties never sit in W0
+    t[no_sale] = np.minimum(t[no_sale], 0.0)
+    return nature.dual_value(coords, t, instance, lam)
 
 
 @dataclass(frozen=True)

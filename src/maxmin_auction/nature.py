@@ -51,7 +51,7 @@ def dedup_sorted(values, tol: float, snap=None) -> np.ndarray:
     """Sorted unique values; clusters within tol collapse to their first
     member, except that clusters touching a ``snap`` anchor take the anchor
     itself (keeps box endpoints exact, never one rounding off)."""
-    vals = np.sort(np.asarray(values, dtype=float))
+    vals = np.sort(np.asarray(values, dtype=float)).tolist()
     keep = [vals[0]]
     for v in vals[1:]:
         if v - keep[-1] > tol:
@@ -180,64 +180,53 @@ def threshold_tables(mech, coords) -> list[np.ndarray]:
     return mech.tables(coords)
 
 
-def _zero_reachable_2d(mech: GridMechanism, x: float, y: float,
-                       p1: float, p2: float, tol: float) -> bool:
-    """Can a sequence inside the no-sale region approach (x, y)?
+def least_winning_threshold(values, thresholds, tol: float) -> np.ndarray:
+    """Least threshold among the bidders whose value reaches it, ``inf``
+    where nobody's does; ``values[i]`` and ``thresholds[i]`` broadcast to
+    the grid (``+inf`` for a bidder who can never win)."""
+    t = np.inf
+    for v, p in zip(values, thresholds):
+        t = np.minimum(t, np.where(v >= p - tol, p, np.inf))
+    return t
 
-    Linearized test using one-sided threshold slopes at the node; needed so
-    that indifference profiles only count as no-sale when no-sale profiles
-    actually accumulate there.
+
+def _one_sided_slopes(c, t, z, tol: float):
+    """Left and right slopes of the table t over the increasing c at each z:
+    the two adjacent cells at a node of c, the one cell between nodes, zero
+    past either end."""
+    s = np.concatenate([[0.0], np.diff(t) / np.diff(c), [0.0]])
+    k = np.clip(np.searchsorted(c, z + tol) - 1, 0, len(c) - 1)
+    hi = s[k + 1]
+    return np.where(np.abs(z - c[k]) <= tol, s[k], hi), hi
+
+
+def _no_sale_limits_2d(mech: GridMechanism, value_grids, tables,
+                       tol: float) -> np.ndarray:
+    """Which nodes of a two-bidder grid can a no-sale sequence approach?
+
+    Linearized test on the one-sided slopes of the mechanism's own tables:
+    a node where a threshold binds counts only when some direction into the
+    box strictly undercuts every binding threshold.  Meaningful where
+    v <= p + tol for both bidders.
     """
-    if x > p1 + tol or y > p2 + tol:
-        return False
-    act1 = x >= p1 - tol
-    act2 = y >= p2 - tol
-    if not act1 and not act2:
-        return True
-    vmax = mech.vmax
-    c1, c2 = mech.coords[1], mech.coords[0]   # p1 varies over v2, p2 over v1
-    can_x_dn, can_x_up = x > tol, x < vmax[0] - tol
-    can_y_dn, can_y_up = y > tol, y < vmax[1] - tol
-
-    def slopes(i, c, z):
-        def cell(a, b):
-            return (mech.threshold(i, [b]) - mech.threshold(i, [a])) / (b - a)
-
-        k = int(np.searchsorted(c, z + tol) - 1)
-        k = min(max(k, 0), len(c) - 1)
-        if abs(z - c[k]) <= tol:              # z sits on a mechanism node
-            lo = cell(c[k - 1], c[k]) if k > 0 else 0.0
-            hi = cell(c[k], c[k + 1]) if k < len(c) - 1 else 0.0
-        else:                                 # interior of one cell
-            hi = cell(c[k], c[min(k + 1, len(c) - 1)]) if k < len(c) - 1 else 0.0
-            lo = hi
-        return lo, hi
-
-    g1m, g1p = slopes(0, c1, y)
-    g2m, g2p = slopes(1, c2, x)
+    x, y = value_grids                          # open mesh: a column, a row
+    act1, act2 = x >= tables[0] - tol, y >= tables[1] - tol
+    # p1 varies over v2, p2 over v1
+    g1m, g1p = _one_sided_slopes(mech.coords[1], mech.thresholds[0], y, tol)
+    g2m, g2p = _one_sided_slopes(mech.coords[0], mech.thresholds[1], x, tol)
+    x_dn, x_up = x > tol, x < mech.vmax[0] - tol
+    y_dn, y_up = y > tol, y < mech.vmax[1] - tol
     stol = 1e-9
-
-    if act1 and not act2:
-        if can_x_dn:
-            return True
-        return (can_y_up and g1p > stol) or (can_y_dn and g1m < -stol)
-    if act2 and not act1:
-        if can_y_dn:
-            return True
-        return (can_x_up and g2p > stol) or (can_x_dn and g2m < -stol)
-
+    only1 = x_dn | (y_up & (g1p > stol)) | (y_dn & (g1m < -stol))
+    only2 = y_dn | (x_up & (g2p > stol)) | (x_dn & (g2m < -stol))
     # Both thresholds bind: a direction (dx, dy) must strictly undercut both.
-    if can_x_dn and g2m < -stol:
-        return True
-    if can_y_dn and g1m < -stol:
-        return True
-    if can_x_dn and can_y_dn and (g1m <= stol or g2m <= stol
-                                  or g1m * g2m < 1.0 - stol):
-        return True
-    if can_x_up and can_y_up and (g1p > stol and g2p > stol
-                                  and g1p * g2p > 1.0 + stol):
-        return True
-    return False
+    both = ((x_dn & (g2m < -stol)) | (y_dn & (g1m < -stol))
+            | (x_dn & y_dn & ((g1m <= stol) | (g2m <= stol)
+                              | (g1m * g2m < 1.0 - stol)))
+            | (x_up & y_up & (g1p > stol) & (g2p > stol)
+               & (g1p * g2p > 1.0 + stol)))
+    return np.where(act1, np.where(act2, both, only1),
+                    np.where(act2, only2, True))
 
 
 def lower_revenue_table(mech, coords) -> np.ndarray:
@@ -251,23 +240,22 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-9 * scale
-    value_grids = np.meshgrid(*coords, indexing="ij")
+    value_grids = np.meshgrid(*coords, indexing="ij", sparse=True)
 
     if isinstance(mech, LinearScoreAuction):
         # A bidder is a winner candidate where her value reaches the raw
         # score threshold; a threshold clamped at her bound means she cannot
         # win there at all (this matters only under unequal bounds).
-        t = np.full(shape, np.inf)
         scores = [mech.betas[i] * value_grids[i] - mech.alphas[i]
                   for i in range(n)]
+        raw = [np.inf] * n
         for i in mech.included():
             rival = np.zeros(shape)
             for j in mech.included():
                 if j != i:
                     rival = np.maximum(rival, scores[j])
-            raw = (mech.alphas[i] + rival) / mech.betas[i]
-            can_win = value_grids[i] >= raw - tol
-            t = np.minimum(t, np.where(can_win, raw, np.inf))
+            raw[i] = (mech.alphas[i] + rival) / mech.betas[i]
+        t = least_winning_threshold(value_grids, raw, tol)
         # No-sale profiles accumulate exactly below the reserves.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
             no_sale = np.ones(shape, dtype=bool)
@@ -279,27 +267,14 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
                               "no-sale limit; refine the grid")
         return t
 
-    tables = mech.tables(coords)
-    t = np.full(shape, np.inf)
-    below = np.ones(shape, dtype=bool)       # v_i <= p_i for all i
-    strictly_below = np.ones(shape, dtype=bool)
-    for i in range(n):
-        p_i = np.expand_dims(tables[i], axis=i)
-        can_win = value_grids[i] >= p_i - tol
-        t = np.minimum(t, np.where(can_win, p_i, np.inf))
-        below &= value_grids[i] <= p_i + tol
-        strictly_below &= value_grids[i] < p_i - tol
-
+    tables = [np.expand_dims(p, axis=i)
+              for i, p in enumerate(mech.tables(coords))]
+    t = least_winning_threshold(value_grids, tables, tol)
+    below = np.all([v <= p + tol for v, p in zip(value_grids, tables)],
+                   axis=0)                       # v_i <= p_i for all i
     if n == 2:
-        for a, x in enumerate(coords[0]):
-            for b, y in enumerate(coords[1]):
-                if strictly_below[a, b]:
-                    t[a, b] = 0.0
-                elif below[a, b] and _zero_reachable_2d(
-                        mech, x, y, tables[0][b], tables[1][a], tol):
-                    t[a, b] = 0.0
-    else:
-        t[below] = np.minimum(t[below], 0.0)
+        below &= _no_sale_limits_2d(mech, value_grids, tables, tol)
+    t[below] = np.minimum(t[below], 0.0)
     return t
 
 
@@ -336,10 +311,11 @@ def worst_case_lp(coords, t, instance: Instance):
 
 def dual_value(coords, t, instance: Instance, lam) -> float:
     """lam @ m plus the minimum of t - lam @ v over the grid nodes."""
-    nodes = grid_nodes(coords)
-    tvals = np.asarray(t, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float)
-    return float(lam @ instance.mean_vector + np.min(tvals - nodes @ lam))
+    grids = np.meshgrid(*coords, indexing="ij", sparse=True)
+    lam_dot_v = sum(lam[i] * grids[i] for i in range(len(grids)))
+    t = np.asarray(t, dtype=float).reshape(lam_dot_v.shape)
+    return float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
 
 
 def brute_force_min(coords, t, instance: Instance,

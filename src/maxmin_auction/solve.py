@@ -88,9 +88,11 @@ class OptimalSolution:
     guarantee: float
 
 
-def _objective(lam: np.ndarray, instance: Instance) -> float:
-    vmax = instance.common_vmax()
-    return float(np.sum(instance.mean_vector * lam - lam ** 2 * vmax / (1.0 + lam)))
+def _guarantee(lam: np.ndarray, instance: Instance) -> float:
+    """sum(m * lam - lam**2 vmax / (1 + lam)): the worst-case revenue of the
+    optimal auction, from its multipliers."""
+    return float(np.sum(instance.mean_vector * lam
+                        - lam ** 2 * instance.vmax_vector / (1.0 + lam)))
 
 
 def optimal_reserves(instance: Instance) -> OptimalSolution:
@@ -98,7 +100,7 @@ def optimal_reserves(instance: Instance) -> OptimalSolution:
     vmax = instance.common_vmax()
     m = instance.mean_vector
     lam, k_star, we = optimal_lambda(instance)
-    guarantee = _objective(lam, instance)
+    guarantee = _guarantee(lam, instance)
 
     if regime(instance) is Regime.LOW_MEANS:
         r = vmax - np.sqrt(vmax * (vmax - m))
@@ -221,17 +223,13 @@ def asymmetric2_solve(instance: Instance) -> Asym2Solution:
         gamma = (v2 - r[1]) / (v1 - r[0])      # boundary through the corner
         lam = np.array([math.sqrt(v1 / (v1 - m1)) - 1.0,
                         math.sqrt(v2 / (v2 - m2)) - 1.0])
-        guarantee = float(np.sum(instance.mean_vector * lam
-                                 - lam ** 2 * instance.vmax_vector / (1.0 + lam)))
         return Asym2Solution(Regime.LOW_MEANS, float(gamma),
                              (float(g_lo), float(g_hi)), float(v1),
-                             r, guarantee)
+                             r, _guarantee(lam, instance))
 
     gamma = _bisect_gamma(instance)
     v1t = (gamma * v1 + v2) / (gamma + 1.0)
     lam = np.array([gamma, 1.0 / gamma])
     r = lam * instance.vmax_vector / (1.0 + lam)
-    guarantee = float(np.sum(instance.mean_vector * lam
-                             - lam ** 2 * instance.vmax_vector / (1.0 + lam)))
     return Asym2Solution(Regime.HIGH_MEANS, float(gamma), (float(gamma), float(gamma)),
-                         float(v1t), r, guarantee)
+                         float(v1t), r, _guarantee(lam, instance))

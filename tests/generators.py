@@ -86,6 +86,19 @@ def random_excluded_mechanism(rng, vmax=1.0):
     return ma.GridMechanism(coords, [p1, p2])
 
 
+def tabulated_auction(rng, n):
+    """Corner-hitting auction tabulated on its own breakpoint grid."""
+    lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, n), [1.0] * n)
+    return ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+
+
+def excluded_lsa(rng, n, k):
+    """Corner-hitting auction with its first k bidders excluded."""
+    r = rng.uniform(0.0, 0.9, n)
+    r[:k] = 1.0
+    return ma.corner_hitting(r, [1.0] * n)
+
+
 def random_feasible_mechanism(rng, n, vmax=1.0):
     roll = rng.random()
     if roll < 0.45:

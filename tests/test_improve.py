@@ -174,6 +174,21 @@ class TestLagrangianOnGrid:
         val = ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64)
         assert np.isfinite(val)
 
+    def test_bound_mismatch_raises(self):
+        with pytest.raises(DomainError, match="vmax"):
+            ma.lagrangian_on_grid(example1_mechanism(), [0.5, 0.5],
+                                  ma.Instance(2, [0.5, 0.5], 2.0))
+
+    def test_bidder_count_mismatch_raises(self):
+        with pytest.raises(DomainError, match="n=2"):
+            ma.lagrangian_on_grid(example1_mechanism(), [0.5] * 3,
+                                  ma.Instance(3, [0.5] * 3, 1.0))
+
+    @pytest.mark.parametrize("lam", [[0.5], [0.5] * 3])
+    def test_multiplier_count_mismatch_raises(self, lam):
+        with pytest.raises(DomainError, match="multipliers"):
+            ma.lagrangian_on_grid(example1_mechanism(), lam, INST64)
+
 
 class TestDominatingLsa:
     def test_optimal_lsa_is_self_map(self):

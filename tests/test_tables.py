@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import random_excluded_mechanism, random_score_auction
+from generators import (excluded_lsa, random_excluded_mechanism,
+                        random_score_auction, tabulated_auction)
 from maxmin_auction import core, nature
 from maxmin_auction.improve import AffineThresholds
 
@@ -114,18 +115,6 @@ def reference_intercepts(mech, lam):
             best = min(best, mech.threshold(i, w) - float(lam[rivals] @ w))
         b[i] = best
     return b
-
-
-def tabulated_auction(rng, n):
-    lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, n), [1.0] * n)
-    return ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
-
-
-def excluded_lsa(rng, n, k):
-    """Corner-hitting auction with its first k bidders excluded."""
-    r = rng.uniform(0.0, 0.9, n)
-    r[:k] = 1.0
-    return ma.corner_hitting(r, [1.0] * n)
 
 
 def lsas():
