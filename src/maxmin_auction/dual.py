@@ -47,7 +47,7 @@ def _guarantee_lp(wall_A: list, wall_b: list, r: np.ndarray, vmax,
     (u <= r_i - lam_{-i} r_{-i} - lam_i vmax_i), then the no-sale row
     (u <= -lam @ r) when every reserve is positive.  Variables are
     (lam, u+, u-, slacks); every right-hand side is nonnegative, so the
-    two-phase simplex starts cleanly.
+    slack columns are a feasible starting basis.
     """
     rows, rhs = list(wall_A), list(wall_b)
     for i in range(len(r)):
@@ -71,7 +71,7 @@ def _guarantee_lp(wall_A: list, wall_b: list, r: np.ndarray, vmax,
     c[:n] = -means
     c[n] = -1.0
     c[n + 1] = 1.0
-    res = solve_lp(c, A, terms_b)
+    res = solve_lp(c, A, terms_b, start=np.arange(n + 2, ncols))
     lam = res.x[:n].copy()
     return -res.value, lam
 

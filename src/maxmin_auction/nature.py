@@ -22,7 +22,8 @@ from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, corner_hitting,
                    grid_nodes)
-from .errors import BoundaryError, DomainError, RegimeError, SizeError
+from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
+                     SizeError)
 from .simplex import solve_lp
 
 PROB_TOL = 1e-12
@@ -287,26 +288,57 @@ def worst_case_lp(coords, t, instance: Instance):
 
     Returns ``(value, distribution, certificate)``; the distribution is a
     basic solution with at most n+1 atoms and the certificate carries the
-    exact dual multipliers of the simplex basis.
+    exact dual multipliers of the simplex basis.  The simplex starts from
+    the Freudenthal corners of the grid's box, which hold the means.
     """
     coords = [np.asarray(c, dtype=float) for c in coords]
-    nodes = grid_nodes(coords)
-    tvals = np.asarray(t, dtype=float).ravel()
-    if tvals.shape[0] != nodes.shape[0]:
-        raise DomainError("revenue table does not match the grid")
     n = instance.n
-    A = np.vstack([np.ones(nodes.shape[0]), nodes.T])
+    if len(coords) != n:
+        raise DomainError("one coordinate axis per bidder required")
+    for c in coords:
+        if c.ndim != 1 or c.shape[0] < 2 or not np.all(c[1:] > c[:-1]):
+            raise DomainError("each axis needs at least two increasing "
+                              "coordinates")
+    shape = tuple(c.shape[0] for c in coords)
+    tvals = np.asarray(t, dtype=float).ravel()
+    if tvals.shape[0] != math.prod(shape):
+        raise DomainError("revenue table does not match the grid")
+    A = np.empty((n + 1, tvals.shape[0]))
+    A[0] = 1.0
+    for row, g in zip(A[1:], np.meshgrid(*coords, indexing="ij", sparse=True)):
+        row.reshape(shape)[...] = g
     b = np.concatenate([[1.0], instance.mean_vector])
-    res = solve_lp(tvals, A, b)
+    res = solve_lp(tvals, A, b, start=_freudenthal_corners(coords, b[1:]))
 
     keep = res.x > PROB_TOL
     probs = res.x[keep]
-    dist = DiscreteDistribution(nodes[keep], probs / probs.sum(),
+    dist = DiscreteDistribution(A[1:, keep].T, probs / probs.sum(),
                                 vmax=instance.vmax)
     lam = res.duals[1:].copy()
     cert = DualCertificate(lambda0=float(res.duals[0]), lam=lam,
                            value=float(res.duals @ b))
     return res.value, dist, cert
+
+
+def _freudenthal_corners(coords, means) -> list[int]:
+    """Flat grid indices of n+1 box corners whose hull holds ``means``.
+
+    With u_i the mean's position along axis i of the box, the corners are the
+    lowest one and then, taking axes in decreasing u, each next corner moves
+    one more axis to its top: the simplex of Freudenthal's triangulation of
+    the box that contains u.  Their weights 1 - u_(1), u_(1) - u_(2), ...,
+    u_(n) are nonnegative, so the corners are a feasible basis of Nature's LP.
+    """
+    u = [(float(m) - float(c[0])) / (float(c[-1]) - float(c[0]))
+         for m, c in zip(means, coords)]
+    if min(u) < 0.0 or max(u) > 1.0:
+        raise InfeasibleError("means outside the grid's box")
+    strides = [math.prod(len(c) for c in coords[i + 1:])
+               for i in range(len(coords))]
+    corners = [0]
+    for i in sorted(range(len(u)), key=lambda k: -u[k]):
+        corners.append(corners[-1] + (len(coords[i]) - 1) * strides[i])
+    return corners
 
 
 def dual_value(coords, t, instance: Instance, lam) -> float:

@@ -1,19 +1,31 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Revised primal simplex with Bland's anti-cycling rule.
 
-Solves  min c'x  s.t.  Ax = b, x >= 0.  The tableaus here never exceed a
-handful of rows, so a dense implementation with deterministic pivoting is
-both simple and reproducible.
+Solves  min c'x  s.t.  Ax = b, x >= 0.  The LPs here have a handful of rows
+and up to millions of columns, so the solver keeps only the m x m basis
+inverse next to the basic solution and prices every column with one
+``y @ A`` pass per pivot; it never forms B^-1 A.
+
+A caller that knows a feasible basis passes it as ``start`` and phase 1 does
+not run.  Otherwise an artificial variable on every row forms the starting
+basis and phase 1 drives them out; an artificial that leaves never returns.
+Pivoting is deterministic: steepest reduced cost while the objective moves,
+Bland's rule after a run of degenerate pivots, and ratio-test ties go to the
+smaller basic index.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, UnboundedError
+from .errors import DomainError, InfeasibleError, NumericalError, UnboundedError
 
 PIVOT_TOL = 1e-10
+START_TOL = 1e-9       # a start's basic solution may dip this far below zero
+STALL_LIMIT = 8        # degenerate pivots in a row before Bland's rule
+MAX_COND = 1e12        # largest 1-norm condition number of a start's basis
 
 
 @dataclass
@@ -22,99 +34,141 @@ class LPResult:
     value: float           # c'x at the optimum
     basis: np.ndarray      # column indices of the final basis, one per row
     duals: np.ndarray      # y with y'A <= c' and y'b == value
+    pivots: tuple[int, int]  # pivots in phase 1 (0 from a start), phase 2
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+def _pivot(inv: np.ndarray, basis: np.ndarray, row: int, col: np.ndarray,
+           entering: int) -> None:
+    """Bring ``entering``, whose column is ``col = B^-1 a``, into ``row``.
 
-
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 max_iter: int) -> None:
-    """Pivot in place until all reduced costs are nonnegative.
-
-    Steepest reduced cost picks the entering column while progress is made;
-    a run of degenerate pivots switches to Bland's rule, whose exact-tie
-    comparisons cannot cycle, until the objective strictly moves again.
+    ``inv`` is ``[B^-1 | x_B]``; the update is the tableau's row operation
+    restricted to those columns.  A basic value that rounding leaves below
+    zero is set to zero.
     """
-    m = len(basis)
-    ncols = tableau.shape[1] - 1
-    stalled = 0
-    for _ in range(max_iter):
-        reduced = cost[:ncols] - tableau[:, :ncols].T @ cost[basis]
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        if candidates.size == 0:
-            return
-        if stalled > 8:
-            entering = int(candidates[0])           # Bland
+    inv[row] /= col[row]
+    factors = col.copy()
+    factors[row] = 0.0
+    inv -= np.outer(factors, inv[row])
+    np.maximum(inv[:, -1], 0.0, out=inv[:, -1])
+    basis[row] = entering
+
+
+def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
+                 basis: np.ndarray, cost_b: np.ndarray,
+                 max_iter: int) -> tuple[int, np.ndarray]:
+    """Pivot in place until no reduced cost is below ``-PIVOT_TOL``.
+
+    ``cost_b`` holds the cost of each basic variable; basis indices past the
+    last column of ``A`` are artificials, which are never priced, so one
+    that leaves does not return.  Returns the pivot count and the final
+    duals.
+    """
+    m = A.shape[0]
+    stalled = pivots = 0
+    while True:
+        y = cost_b @ inv[:, :m]
+        reduced = c - y @ A
+        if stalled > STALL_LIMIT:                  # Bland
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            if candidates.size == 0:
+                return pivots, y
+            entering = int(candidates[0])
         else:
-            entering = int(candidates[np.argmin(reduced[candidates])])
-        col = tableau[:, entering]
-        rhs = tableau[:, -1]
+            entering = int(np.argmin(reduced))
+            if reduced[entering] >= -PIVOT_TOL:
+                return pivots, y
+        if pivots == max_iter:
+            raise NumericalError("simplex iteration limit exceeded")
+        col = inv[:, :m] @ A[:, entering]
+        colv, rhs, bas = col.tolist(), inv[:, -1].tolist(), basis.tolist()
         best_ratio = np.inf
         leaving = -1
         for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = rhs[i] / col[i]
+            if colv[i] > PIVOT_TOL:
+                ratio = rhs[i] / colv[i]
                 if ratio < best_ratio or (ratio == best_ratio
-                                          and basis[i] < basis[leaving]):
+                                          and bas[i] < bas[leaving]):
                     best_ratio, leaving = ratio, i
         if leaving < 0:
             raise UnboundedError("objective unbounded below")
         stalled = 0 if best_ratio > PIVOT_TOL else stalled + 1
-        _pivot(tableau, basis, leaving, entering)
-    raise NumericalError("simplex iteration limit exceeded")
+        _pivot(inv, basis, leaving, col, entering)
+        cost_b[leaving] = c[entering]
+        pivots += 1
 
 
-def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
+                                                                np.ndarray]:
+    """``[B^-1 | x_B]`` and the basis for a caller's feasible start."""
+    m, ncols = A.shape
+    try:
+        basis = [operator.index(j) for j in start]
+    except TypeError:
+        raise DomainError("start must name columns of A by index") from None
+    if (len(basis) != m or len(set(basis)) != m or min(basis) < 0
+            or max(basis) >= ncols):
+        raise DomainError(f"start must name {m} distinct columns of A")
+    basis = np.array(basis, dtype=np.intp)
+    B = A[:, basis]
+    try:
+        binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise DomainError("start basis is singular") from None
+    if np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > MAX_COND:
+        raise DomainError("start basis is numerically singular")
+    xb = binv @ b
+    if np.any(xb < -START_TOL):
+        raise DomainError("start basis is not feasible")
+    return np.column_stack([binv, np.maximum(xb, 0.0)]), basis
+
+
+def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None,
              max_iter: int = 100_000) -> LPResult:
-    """Solve min c'x s.t. Ax = b, x >= 0 and return primal/dual data."""
-    A = np.array(A, dtype=float)
+    """Solve min c'x s.t. Ax = b, x >= 0 and return primal/dual data.
+
+    ``start`` names m columns of ``A`` that form a feasible basis
+    (``B^-1 b >= 0``); with it, phase 1 is skipped.  ``A`` is never
+    modified, and copied only when a row must be negated to make its
+    right-hand side nonnegative.
+    """
+    A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    m, n = A.shape
+    m, ncols = A.shape
 
     flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    if np.any(flip):
+        A = A.copy()
+        A[flip] *= -1.0
+        b[flip] *= -1.0
 
-    # Phase 1: artificial variables form the starting basis.
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = A
-    tableau[:, n:n + m] = np.eye(m)
-    tableau[:, -1] = b
-    basis = np.arange(n, n + m)
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
-    _run_simplex(tableau, basis, phase1_cost, max_iter)
-    if float(phase1_cost[basis] @ tableau[:, -1]) > 1e-9:
-        raise InfeasibleError("no feasible point")
-
-    # Drive artificials that remain basic at zero level out of the basis.
-    for i in range(m):
-        if basis[i] >= n:
-            row = tableau[i, :n]
-            nz = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+    phase1 = 0
+    if start is not None:
+        inv, basis = _start_basis(A, b, start)
+    else:
+        # Phase 1: artificial variables form the starting basis.
+        inv = np.column_stack([np.eye(m), b])
+        basis = np.arange(ncols, ncols + m)
+        phase1, _ = _run_simplex(np.zeros(ncols), A, inv, basis, np.ones(m),
+                                 max_iter)
+        if float(inv[basis >= ncols, -1].sum()) > 1e-9:
+            raise InfeasibleError("no feasible point")
+        # Drive artificials that remain basic at zero level out of the basis;
+        # rows where none can enter are redundant and keep their artificial.
+        for i in np.flatnonzero(basis >= ncols):
+            nz = np.flatnonzero(np.abs(inv[i, :m] @ A) > PIVOT_TOL)
             if nz.size:
-                _pivot(tableau, basis, i, int(nz[0]))
+                _pivot(inv, basis, i, inv[:, :m] @ A[:, nz[0]], int(nz[0]))
+                phase1 += 1
 
-    keep = np.flatnonzero(basis < n)       # rows left redundant keep artificials
-    tableau = np.hstack([tableau[keep][:, :n], tableau[keep][:, -1:]])
-    basis = basis[keep]
+    # Phase 2 on the original costs; a redundant row's artificial costs 0.
+    cost_b = np.array([c[j] if j < ncols else 0.0 for j in basis])
+    phase2, duals = _run_simplex(c, A, inv, basis, cost_b, max_iter)
 
-    # Phase 2 on the original costs.
-    phase2_cost = np.concatenate([c, [0.0]])
-    _run_simplex(tableau, basis, phase2_cost, max_iter)
-
-    x = np.zeros(n)
-    x[basis] = tableau[:, -1]
-    value = float(c @ x)
-
-    # Duals from the final basis: y'B = c_B', zero on redundant rows.
-    duals = np.zeros(m)
-    B = A[np.ix_(keep, basis)]
-    duals[keep] = np.linalg.solve(B.T, c[basis])
+    real = basis < ncols
+    x = np.zeros(ncols)
+    x[basis[real]] = inv[real, -1]
+    value = float(c[basis[real]] @ inv[real, -1])
     duals[flip] *= -1.0
-    return LPResult(x=x, value=value, basis=basis.copy(), duals=duals)
+    return LPResult(x=x, value=value, basis=basis[real], duals=duals,
+                    pivots=(phase1, phase2))

@@ -1,0 +1,343 @@
+"""The revised simplex against the dense tableau it replaced, and HiGHS.
+
+Nature's LPs and the multiplier LPs are captured from their real callers
+(``worst_case_lp`` and ``_guarantee_lp``), together with the starting basis
+each caller passes.  Every LP is solved from that start and without it, and
+both must match the dense two-phase tableau below in value; the basis is
+not compared, because on fine grids the optimum is often not unique.
+"""
+
+import numpy as np
+import pytest
+
+import maxmin_auction as ma
+from generators import random_feasible_mechanism, random_instance
+from maxmin_auction import dual, nature
+from maxmin_auction.errors import (DomainError, InfeasibleError,
+                                   NumericalError, UnboundedError)
+from maxmin_auction.simplex import solve_lp
+
+VALUE_TOL = 1e-10
+HIGHS_TOL = 1e-8
+
+
+def _tableau_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    basis[row] = col
+
+
+def _tableau_run(tableau, basis, cost, max_iter):
+    m = len(basis)
+    ncols = tableau.shape[1] - 1
+    stalled = 0
+    for _ in range(max_iter):
+        reduced = cost[:ncols] - tableau[:, :ncols].T @ cost[basis]
+        candidates = np.flatnonzero(reduced < -1e-10)
+        if candidates.size == 0:
+            return
+        if stalled > 8:
+            entering = int(candidates[0])
+        else:
+            entering = int(candidates[np.argmin(reduced[candidates])])
+        col = tableau[:, entering]
+        rhs = tableau[:, -1]
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            if col[i] > 1e-10:
+                ratio = rhs[i] / col[i]
+                if ratio < best_ratio or (ratio == best_ratio
+                                          and basis[i] < basis[leaving]):
+                    best_ratio, leaving = ratio, i
+        if leaving < 0:
+            raise UnboundedError("objective unbounded below")
+        stalled = 0 if best_ratio > 1e-10 else stalled + 1
+        _tableau_pivot(tableau, basis, leaving, entering)
+    raise NumericalError("simplex iteration limit exceeded")
+
+
+def tableau_solve_lp(c, A, b, max_iter=100_000):
+    """The dense two-phase tableau simplex, kept as the reference: returns
+    the optimal value."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:, :n] = A
+    tableau[:, n:n + m] = np.eye(m)
+    tableau[:, -1] = b
+    basis = np.arange(n, n + m)
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+    _tableau_run(tableau, basis, phase1_cost, max_iter)
+    if float(phase1_cost[basis] @ tableau[:, -1]) > 1e-9:
+        raise InfeasibleError("no feasible point")
+    for i in range(m):
+        if basis[i] >= n:
+            nz = np.flatnonzero(np.abs(tableau[i, :n]) > 1e-10)
+            if nz.size:
+                _tableau_pivot(tableau, basis, i, int(nz[0]))
+    keep = np.flatnonzero(basis < n)
+    tableau = np.hstack([tableau[keep][:, :n], tableau[keep][:, -1:]])
+    basis = basis[keep]
+    _tableau_run(tableau, basis, np.concatenate([c, [0.0]]), max_iter)
+    return float(c[basis] @ tableau[:, -1])
+
+
+def captured_lps(module, run):
+    """Every ``(c, A, b, start)`` that ``run`` hands to ``module.solve_lp``."""
+    lps = []
+    real = module.solve_lp
+
+    def spy(c, A, b, start=None):
+        lps.append((c, A, b, start))
+        return real(c, A, b, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_lp", spy)
+        run()
+    return lps
+
+
+def corner_auction(rng, n):
+    inst = random_instance(rng, n)
+    r = rng.uniform(0.0, 1.0, n)
+    r[rng.random(n) < 0.15] = 0.0
+    return ma.corner_hitting(r, inst.vmax), inst
+
+
+def evaluate_mix_lps(seed, per_n=10):
+    """Nature's LPs for the evaluate mix on its breakpoint grids, n = 2, 3."""
+    rng = np.random.default_rng(seed)
+
+    def run():
+        for n in (2, 3):
+            for _ in range(per_n):
+                inst = random_instance(rng, n)
+                nature.mechanism_guarantee(
+                    random_feasible_mechanism(rng, n), inst)
+
+    return captured_lps(nature, run)
+
+
+def fine_grid_lps(seed, steps=(0.01, 0.05), per_n=4):
+    """Nature's LPs for corner-hitting auctions on step grids; ``steps``
+    holds the step for n = 2, then for n = 3."""
+    rng = np.random.default_rng(seed)
+
+    def run():
+        for n, step in zip((2, 3), steps):
+            for _ in range(per_n):
+                lsa, inst = corner_auction(rng, n)
+                nature.mechanism_guarantee(lsa, inst, step=step)
+
+    return captured_lps(nature, run)
+
+
+def multiplier_lps(seed, per_n=40):
+    """``lsa_guarantee`` for n = 2 to 5 and ``lsa2_asym_guarantee``, with
+    reserves at zero and at the bound mixed in."""
+    rng = np.random.default_rng(seed)
+
+    def reserves(vmax, n):
+        r = rng.uniform(0.0, 1.0, n) * vmax
+        roll = rng.random()
+        if roll < 0.15:
+            r[rng.integers(n)] = 0.0
+        elif roll < 0.25:
+            r[rng.integers(n)] = np.asarray(vmax, dtype=float).max()
+        return np.minimum(r, vmax)
+
+    def run():
+        for n in (2, 3, 4, 5):
+            for _ in range(per_n):
+                inst = random_instance(rng, n)
+                dual.lsa_guarantee(reserves(1.0, n), inst)
+        for _ in range(per_n):
+            v2 = rng.uniform(0.5, 1.0)
+            vmax = np.array([1.0, v2])
+            inst = ma.Instance(2, rng.uniform(0.05, 0.95, 2) * vmax, vmax)
+            dual.lsa2_asym_guarantee(reserves(vmax, 2), rng.uniform(0.0, 1.0),
+                                     inst)
+
+    return captured_lps(dual, run)
+
+
+@pytest.fixture(scope="module")
+def nature_corpus():
+    return evaluate_mix_lps(seed=51) + fine_grid_lps(seed=54)
+
+
+@pytest.fixture(scope="module")
+def multiplier_corpus():
+    return multiplier_lps(seed=52)
+
+
+def check_against_tableau(lps):
+    assert lps
+    for k, (c, A, b, start) in enumerate(lps):
+        assert start is not None, k
+        reference = tableau_solve_lp(c, A, b)
+        for s in (start, None):
+            res = solve_lp(c, A, b, start=s)
+            where = (k, s is None)
+            assert abs(res.value - reference) <= VALUE_TOL, where
+            assert abs(res.duals @ b - res.value) <= VALUE_TOL, where
+            assert np.min(c - res.duals @ A) >= -1e-9, where
+            assert np.max(np.abs(A @ res.x - b)) <= 1e-9, where
+            assert np.min(res.x) >= 0.0, where
+            if s is not None:
+                assert res.pivots[0] == 0, where
+
+
+def test_nature_lps_match_tableau(nature_corpus):
+    check_against_tableau(nature_corpus)
+
+
+def test_multiplier_lps_match_tableau(multiplier_corpus):
+    check_against_tableau(multiplier_corpus)
+
+
+def test_start_skips_phase_one(nature_corpus, multiplier_corpus):
+    """From the caller's start phase 1 does no work, and each corpus takes
+    fewer pivots in all than both phases from the artificial basis."""
+    for corpus in (nature_corpus, multiplier_corpus):
+        warm = [solve_lp(c, A, b, start=s).pivots for c, A, b, s in corpus]
+        cold = [solve_lp(c, A, b).pivots for c, A, b, _ in corpus]
+        assert all(p1 == 0 for p1, _ in warm)
+        assert all(p1 >= 1 for p1, _ in cold)
+        assert sum(map(sum, warm)) < sum(map(sum, cold))
+
+
+def highs_value(c, A, b):
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_highs_agrees(nature_corpus, multiplier_corpus):
+    pytest.importorskip("scipy")
+    for k, (c, A, b, start) in enumerate(nature_corpus + multiplier_corpus):
+        value = solve_lp(c, A, b, start=start).value
+        assert abs(value - highs_value(c, A, b)) <= HIGHS_TOL, k
+
+
+def test_highs_agrees_on_large_grids():
+    """Nature's LPs on grids of over 100k nodes: 334 x 334 and 48 x 48 x 48."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(53)
+
+    def run():
+        for n, k in ((2, 334), (2, 334), (3, 48), (3, 48)):
+            lsa, inst = corner_auction(rng, n)
+            coords = [np.linspace(0.0, v, k) for v in inst.vmax]
+            nature.worst_case_lp(coords, nature.lower_revenue_table(lsa, coords),
+                                 inst)
+
+    large = captured_lps(nature, run)
+    assert min(A.shape[1] for _, A, _, _ in large) > 100_000
+    for k, (c, A, b, start) in enumerate(large):
+        value = solve_lp(c, A, b, start=start).value
+        assert abs(value - highs_value(c, A, b)) <= HIGHS_TOL, k
+
+
+class TestStart:
+    # min -x1 - 2 x2 st x1 + x2 + s = 4, x1 + 3 x2 + t = 6
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+
+    def test_slack_start(self):
+        res = solve_lp(self.c, self.A, self.b, start=[2, 3])
+        assert res.value == pytest.approx(-5.0)
+        assert res.x[:2] == pytest.approx([3.0, 1.0])
+        assert res.pivots[0] == 0 and res.pivots[1] >= 1
+
+    def test_optimal_start_takes_no_pivot(self):
+        res = solve_lp(self.c, self.A, self.b, start=[0, 1])
+        assert res.value == pytest.approx(-5.0)
+        assert res.pivots == (0, 0)
+
+    @pytest.mark.parametrize("start", [[2], [2, 3, 0], [2, 2], [2, 4],
+                                       [-1, 2], [2.0, 3.0]])
+    def test_start_not_m_distinct_columns(self, start):
+        with pytest.raises(DomainError):
+            solve_lp(self.c, self.A, self.b, start=start)
+
+    @pytest.mark.parametrize("col", [[1.0, 1.0], [0.0, 1e-14]])
+    def test_singular_start(self, col):
+        # exactly singular, then feasible but singular to rounding (1-norm
+        # condition number 2e14)
+        A = np.column_stack([[1.0, 1.0], col, [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):
+            solve_lp(self.c, A, self.b, start=[0, 1])
+
+    def test_infeasible_start(self):
+        # x1 = 6 - ... : basis {x1, s} gives s = 4 - 6 < 0
+        with pytest.raises(DomainError):
+            solve_lp(self.c, self.A, self.b, start=[0, 2])
+
+    def test_caller_matrix_untouched(self):
+        A = np.array([[-1.0, -1.0, -1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+        b = np.array([-4.0, 6.0])
+        before = A.copy()
+        for start in (None, [2, 3]):
+            res = solve_lp(self.c, A, b, start=start)
+            assert res.value == pytest.approx(-5.0)
+            assert res.duals @ b == pytest.approx(-5.0)
+            np.testing.assert_array_equal(A, before)
+
+
+class TestWorstCaseStart:
+    def test_box_not_starting_at_zero(self, rng):
+        coords = [np.array([0.2, 0.35, 0.6, 0.9]), np.array([0.3, 0.5, 0.8])]
+        t = rng.uniform(0.0, 1.0, (4, 3))
+        # equal positions along both axes make a degenerate corner start
+        for means in ([0.55, 0.55], [0.35, 0.7], [0.2 + 0.7 * 0.4,
+                                                   0.3 + 0.5 * 0.4]):
+            inst = ma.Instance(2, means, 1.0)
+            value, dist, cert = nature.worst_case_lp(coords, t, inst)
+            assert value == pytest.approx(
+                nature.brute_force_min(coords, t, inst), abs=1e-12)
+            assert value == pytest.approx(
+                tableau_solve_lp(t.ravel(),
+                                 np.vstack([np.ones(12),
+                                            nature.grid_nodes(coords).T]),
+                                 [1.0, *means]), abs=VALUE_TOL)
+            assert dist.mean() == pytest.approx(means, abs=1e-12)
+            assert cert.value == pytest.approx(value, abs=1e-12)
+
+    def test_three_axes_box_not_starting_at_zero(self, rng):
+        coords = [np.array([0.1, 0.4, 1.0]), np.array([0.25, 0.5]),
+                  np.array([0.05, 0.3, 0.6, 0.7])]
+        t = rng.uniform(0.0, 1.0, (3, 2, 4))
+        inst = ma.Instance(3, [0.5, 0.3, 0.4], 1.0)
+        value, dist, _ = nature.worst_case_lp(coords, t, inst)
+        assert value == pytest.approx(
+            nature.brute_force_min(coords, t, inst), abs=1e-12)
+        assert dist.mean() == pytest.approx(inst.mean_vector, abs=1e-12)
+
+    def test_means_below_box(self):
+        coords = [np.array([0.2, 1.0]), np.array([0.0, 1.0])]
+        with pytest.raises(InfeasibleError):
+            nature.worst_case_lp(coords, np.zeros((2, 2)),
+                                 ma.Instance(2, [0.1, 0.5], 1.0))
+
+    @pytest.mark.parametrize("coords", [
+        [np.array([0.5]), np.array([0.0, 1.0])],
+        [np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0])],
+        [np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.0, 1.0])],
+        [np.array([0.0, 1.0])],
+    ])
+    def test_bad_axes(self, coords):
+        t = np.zeros([len(c) for c in coords])
+        with pytest.raises(DomainError):
+            nature.worst_case_lp(coords, t, ma.Instance(2, [0.5, 0.5], 1.0))
