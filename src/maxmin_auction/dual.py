@@ -25,66 +25,78 @@ def _lagrangian_terms(r: np.ndarray, lam: np.ndarray, vmax,
     return min(terms)
 
 
+def _checked(r, lam, instance: Instance, upper):
+    """Reserves and multipliers as float arrays of shape (n,).
+
+    Raises ``DomainError`` unless 0 <= r <= ``upper`` (the bound plus its
+    tolerance: one float, or one per bidder) and, when ``lam`` is given,
+    0 <= lam < inf.  Every comparison with NaN is false, so NaN fails too.
+    """
+    shape = (instance.n,)
+    r = np.asarray(r, dtype=float)
+    if r.shape != shape:
+        raise DomainError(f"reserves must have shape {shape}, got {r.shape}")
+    if not (r.min() >= 0.0 and (r <= upper).all()):
+        raise DomainError("reserves outside the box")
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != shape:
+            raise DomainError(
+                f"multipliers must have shape {shape}, got {lam.shape}")
+        if not (lam.min() >= 0.0 and lam.max() < np.inf):
+            raise DomainError(
+                "closed form requires finite nonnegative multipliers")
+    return r, lam
+
+
 def lsa_lagrangian(r, lam, instance: Instance) -> float:
     """Lower bound lam @ m + inf(t - lam @ v) for the reserve auction, exactly."""
     vmax = instance.common_vmax()
-    r = np.asarray(r, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise DomainError("closed form requires nonnegative multipliers")
-    if np.any(r < 0) or np.any(r > vmax + 1e-12):
-        raise DomainError("reserves outside the box")
+    r, lam = _checked(r, lam, instance, vmax + 1e-12)
     wall = [vmax * (1.0 - float(lam.sum()))]
     inner = _lagrangian_terms(r, lam, instance.vmax, wall)
     return float(lam @ instance.mean_vector + inner)
 
 
-def _guarantee_lp(wall_A: list, wall_b: list, r: np.ndarray, vmax,
+def _guarantee_lp(wall_A, wall_b: list, r: np.ndarray, vmax,
                   means: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize means @ lam + u subject to u <= terms_b - terms_A @ lam, lam >= 0.
 
-    The terms are the given wall rows, then one row per bidder
+    The terms are the given wall rows (``wall_A`` is anything that fills a
+    ``len(wall_b) x n`` block), then one row per bidder
     (u <= r_i - lam_{-i} r_{-i} - lam_i vmax_i), then the no-sale row
     (u <= -lam @ r) when every reserve is positive.  Variables are
     (lam, u+, u-, slacks); every right-hand side is nonnegative, so the
     slack columns are a feasible starting basis.
     """
-    rows, rhs = list(wall_A), list(wall_b)
-    for i in range(len(r)):
-        row = r.copy()
-        row[i] = vmax[i]
-        rows.append(row)
-        rhs.append(r[i])
-    if np.all(r > 0.0):                    # no-sale region nonempty
-        rows.append(r.copy())
-        rhs.append(0.0)
-    terms_A, terms_b = np.asarray(rows), np.asarray(rhs)
     n = means.shape[0]
-    k = terms_A.shape[0]
+    w = len(wall_b)
+    k = w + n + (r.min() > 0.0)            # no-sale row iff its region is nonempty
     ncols = n + 2 + k
     A = np.zeros((k, ncols))
-    A[:, :n] = terms_A
+    b = np.zeros(k)
+    A[:w, :n] = wall_A
+    A[w:, :n] = r                          # bidder rows, then the no-sale row
+    np.fill_diagonal(A[w:w + n], vmax)     # ... with vmax_i in place of r_i
     A[:, n] = 1.0
     A[:, n + 1] = -1.0
-    A[:, n + 2:] = np.eye(k)
+    np.fill_diagonal(A[:, n + 2:], 1.0)
+    b[:w] = wall_b
+    b[w:w + n] = r
     c = np.zeros(ncols)
     c[:n] = -means
     c[n] = -1.0
     c[n + 1] = 1.0
-    res = solve_lp(c, A, terms_b, start=np.arange(n + 2, ncols))
-    lam = res.x[:n].copy()
-    return -res.value, lam
+    res = solve_lp(c, A, b, start=np.arange(n + 2, ncols))
+    return -res.value, res.x[:n].copy()
 
 
 def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
     """Worst-case expected revenue of the reserve auction and an argmax lam."""
     vmax = instance.common_vmax()
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > vmax + 1e-12):
-        raise DomainError("reserves outside the box")
-    n = instance.n
-    return _guarantee_lp([np.full(n, vmax)], [vmax],   # u <= vmax (1 - sum lam)
-                         r, [vmax] * n, instance.mean_vector)
+    r, _ = _checked(r, None, instance, vmax + 1e-12)
+    return _guarantee_lp(vmax, [vmax],     # u <= vmax (1 - sum lam)
+                         r, vmax, instance.mean_vector)
 
 
 def _asym_checks(r, v1_tilde, lam, instance: Instance):
@@ -93,14 +105,10 @@ def _asym_checks(r, v1_tilde, lam, instance: Instance):
     v1, v2 = instance.vmax
     if v1 < v2 - 1e-12:
         raise DomainError("bidder 1 must carry the larger bound")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or r[0] > v1 + 1e-12 or r[1] > v2 + 1e-12:
-        raise DomainError("reserves outside the box")
+    r, lam = _checked(r, lam, instance, np.array([v1, v2]) + 1e-12)
     if not (0.0 <= v1_tilde <= v1 + 1e-12):
         raise DomainError("sure-win value outside bidder 1's range")
-    if lam is not None and np.any(np.asarray(lam) < 0):
-        raise DomainError("closed form requires nonnegative multipliers")
-    return r, float(v1), float(v2)
+    return r, lam, float(v1), float(v2)
 
 
 def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
@@ -108,8 +116,7 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
     ``v1_tilde`` is the lowest report at which bidder 1 wins outright.
     """
-    r, v1, v2 = _asym_checks(r, v1_tilde, lam, instance)
-    lam = np.asarray(lam, dtype=float)
+    r, lam, v1, v2 = _asym_checks(r, v1_tilde, lam, instance)
     wall = [float(v1_tilde - lam[1] * v2 - lam[0] * v1),
             float(v2 - lam[0] * v1_tilde - lam[1] * v2)]
     inner = _lagrangian_terms(r, lam, instance.vmax, wall)
@@ -118,6 +125,6 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
 def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndarray]:
     """Maximize the asymmetric-bound Lagrangian over nonnegative multipliers."""
-    r, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
-    return _guarantee_lp([np.array([v1, v2]), np.array([v1_tilde, v2])],
-                         [v1_tilde, v2], r, (v1, v2), instance.mean_vector)
+    r, _, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
+    return _guarantee_lp([[v1, v2], [v1_tilde, v2]], [v1_tilde, v2],
+                         r, (v1, v2), instance.mean_vector)

@@ -6,8 +6,10 @@ inverse next to the basic solution and prices every column with one
 ``y @ A`` pass per pivot; it never forms B^-1 A.
 
 A caller that knows a feasible basis passes it as ``start`` and phase 1 does
-not run.  Otherwise an artificial variable on every row forms the starting
-basis and phase 1 drives them out; an artificial that leaves never returns.
+not run; a start whose columns are exactly the identity, such as a slack
+basis, needs no inverse, so a tiny LP pays for its pivots alone.  Otherwise
+an artificial variable on every row forms the starting basis and phase 1
+drives them out; an artificial that leaves never returns.
 Pivoting is deterministic: steepest reduced cost while the objective moves,
 Bland's rule after a run of degenerate pivots, and ratio-test ties go to the
 smaller basic index.
@@ -42,14 +44,16 @@ def _pivot(inv: np.ndarray, basis: np.ndarray, row: int, col: np.ndarray,
     """Bring ``entering``, whose column is ``col = B^-1 a``, into ``row``.
 
     ``inv`` is ``[B^-1 | x_B]``; the update is the tableau's row operation
-    restricted to those columns.  A basic value that rounding leaves below
-    zero is set to zero.
+    restricted to those columns, done in place.  ``col`` is scratch: the
+    caller computed it for this pivot and does not read it again.  A basic
+    value that rounding leaves below zero is set to zero.
     """
-    inv[row] /= col[row]
-    factors = col.copy()
-    factors[row] = 0.0
-    inv -= np.outer(factors, inv[row])
-    np.maximum(inv[:, -1], 0.0, out=inv[:, -1])
+    pivot_row = inv[row]
+    pivot_row /= col[row]
+    col[row] = 0.0
+    inv -= col[:, None] * pivot_row
+    xb = inv[:, -1]
+    np.maximum(xb, 0.0, out=xb)
     basis[row] = entering
 
 
@@ -64,9 +68,10 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
     duals.
     """
     m = A.shape[0]
+    binv, xb = inv[:, :m], inv[:, -1]      # views; _pivot updates inv in place
     stalled = pivots = 0
     while True:
-        y = cost_b @ inv[:, :m]
+        y = cost_b @ binv
         reduced = c - y @ A
         if stalled > STALL_LIMIT:                  # Bland
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
@@ -74,13 +79,13 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
                 return pivots, y
             entering = int(candidates[0])
         else:
-            entering = int(np.argmin(reduced))
+            entering = int(reduced.argmin())
             if reduced[entering] >= -PIVOT_TOL:
                 return pivots, y
         if pivots == max_iter:
             raise NumericalError("simplex iteration limit exceeded")
-        col = inv[:, :m] @ A[:, entering]
-        colv, rhs, bas = col.tolist(), inv[:, -1].tolist(), basis.tolist()
+        col = binv @ A[:, entering]
+        colv, rhs, bas = col.tolist(), xb.tolist(), basis.tolist()
         best_ratio = np.inf
         leaving = -1
         for i in range(m):
@@ -99,7 +104,13 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
 
 def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
                                                                 np.ndarray]:
-    """``[B^-1 | x_B]`` and the basis for a caller's feasible start."""
+    """``[B^-1 | x_B]`` and the basis for a caller's feasible start.
+
+    A start whose columns are exactly the identity (a slack basis after the
+    sign flip that made ``b >= 0``) has B^-1 = I, condition number 1 and
+    x_B = b >= 0: it needs no inverse, and it passes the conditioning and
+    feasibility checks by construction.
+    """
     m, ncols = A.shape
     try:
         basis = [operator.index(j) for j in start]
@@ -110,6 +121,10 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
         raise DomainError(f"start must name {m} distinct columns of A")
     basis = np.array(basis, dtype=np.intp)
     B = A[:, basis]
+    inv = np.eye(m, m + 1)
+    if (B == inv[:, :m]).all():
+        inv[:, -1] = b
+        return inv, basis
     try:
         binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
@@ -117,7 +132,7 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
     if np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > MAX_COND:
         raise DomainError("start basis is numerically singular")
     xb = binv @ b
-    if np.any(xb < -START_TOL):
+    if (xb < -START_TOL).any():
         raise DomainError("start basis is not feasible")
     return np.column_stack([binv, np.maximum(xb, 0.0)]), basis
 
@@ -137,7 +152,8 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None,
     m, ncols = A.shape
 
     flip = b < 0
-    if np.any(flip):
+    flipped = flip.any()
+    if flipped:
         A = A.copy()
         A[flip] *= -1.0
         b[flip] *= -1.0
@@ -162,13 +178,16 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None,
                 phase1 += 1
 
     # Phase 2 on the original costs; a redundant row's artificial costs 0.
-    cost_b = np.array([c[j] if j < ncols else 0.0 for j in basis])
+    real = basis < ncols
+    cost_b = np.zeros(m)
+    cost_b[real] = c[basis[real]]
     phase2, duals = _run_simplex(c, A, inv, basis, cost_b, max_iter)
 
-    real = basis < ncols
+    real = basis < ncols                   # an artificial at zero may have left
     x = np.zeros(ncols)
     x[basis[real]] = inv[real, -1]
     value = float(c[basis[real]] @ inv[real, -1])
-    duals[flip] *= -1.0
+    if flipped:
+        duals[flip] *= -1.0
     return LPResult(x=x, value=value, basis=basis[real], duals=duals,
                     pivots=(phase1, phase2))

@@ -136,3 +136,50 @@ class TestAsymmetric:
         inst = ma.Instance(2, [0.5, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             ma.lsa2_asym_lagrangian([0.2, 0.2], 0.9, [0.1, 0.1], inst)
+
+
+ASYM = ma.Instance(2, [1.0, 0.5], [2.0, 1.0])
+BAD_RESERVES = {
+    "nan": [np.nan, 0.5],
+    "inf": [np.inf, 0.5],
+    "short": [0.5],
+    "long": [0.3, 0.3, 0.3],
+    "matrix": [[0.3, 0.3]],
+}
+BAD_MULTIPLIERS = {
+    "nan": [np.nan, 0.2],
+    "inf": [0.2, np.inf],
+    "short": [0.2],
+    "long": [0.2, 0.2, 0.2],
+    "negative": [0.2, -0.1],
+}
+ENTRY_POINTS = {
+    "lsa_lagrangian": lambda r, lam: ma.lsa_lagrangian(r, lam, INST64),
+    "lsa_guarantee": lambda r, lam: ma.lsa_guarantee(r, INST64),
+    "lsa2_asym_lagrangian": lambda r, lam: ma.lsa2_asym_lagrangian(
+        r, 1.5, lam, ASYM),
+    "lsa2_asym_guarantee": lambda r, lam: ma.lsa2_asym_guarantee(r, 1.5, ASYM),
+}
+
+
+class TestBadInput:
+    """Reserves and multipliers that are not n finite numbers in their
+    range raise DomainError at every entry point, never a stray exception,
+    an unbounded LP or a silent number."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", sorted(BAD_RESERVES))
+    def test_bad_reserves(self, entry, case):
+        with pytest.raises(DomainError):
+            ENTRY_POINTS[entry](BAD_RESERVES[case], [0.2, 0.2])
+
+    @pytest.mark.parametrize("entry", ["lsa_lagrangian", "lsa2_asym_lagrangian"])
+    @pytest.mark.parametrize("case", sorted(BAD_MULTIPLIERS))
+    def test_bad_multipliers(self, entry, case):
+        with pytest.raises(DomainError):
+            ENTRY_POINTS[entry]([0.3, 0.2], BAD_MULTIPLIERS[case])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_good_input_still_accepted(self, entry):
+        out = ENTRY_POINTS[entry]([0.3, 0.2], [0.2, 0.2])
+        assert np.isfinite(out if np.isscalar(out) else out[0])
