@@ -8,6 +8,7 @@ reserves off the least fixed point of the resulting monotone map.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,8 @@ from .core import (GridMechanism, Instance, LinearScoreAuction,
                    check_compatible, check_feasible, corner_hitting, drop,
                    rival_axes)
 from .errors import DomainError, FeasibilityError, NumericalError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
     the solution replaces the iterate only when it is a fixed point carrying
     the same pattern and sitting above the iterate, in which case it provably
     equals the iteration's limit.  This removes the slow creep near singular
-    multiplier configurations.
+    multiplier configurations.  The iteration count is logged at debug level.
     """
     vmax = np.asarray(vmax if vmax is not None else pt.vmax, dtype=float)
     n = pt.n
@@ -131,11 +134,12 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
         return tuple(0 if raw[i] <= 0.0 else (2 if raw[i] >= vmax[i] else 1)
                      for i in range(n))
 
-    for _ in range(max_iter):
+    for steps in range(1, max_iter + 1):
         raw = pt.apply(v)
         new = np.minimum(np.maximum(raw, 0.0), vmax)
         if np.max(np.abs(new - v)) < 1e-12:
             v = new
+            ended = "converged"
             break
         v = new
         pat = pattern(raw)
@@ -154,9 +158,11 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
                                  - candidate)) <= tol
         if same_pattern and is_fixed:
             v = candidate
+            ended = "solved on its clamp pattern"
             break
     else:
         raise NumericalError("fixed-point iteration did not converge")
+    logger.debug("least fixed point: iterations=%d, %s", steps, ended)
 
     # Polish the interior coordinates on the exact affine system.
     free = [i for i in range(n) if tol < v[i] < vmax[i] - tol]

@@ -121,57 +121,173 @@ def _map_corner_points(mech: GridMechanism, max_iter: int = 200
     For monotone thresholds the iterations from the bottom and the top of the
     box approach the least and greatest fixed points of each pinned map;
     these are the no-sale corners Nature's worst case can occupy.  A start
-    stops after ``max_iter`` steps or once no coordinate moves more than
-    1e-10; convergence is linear, so for score auctions a corner can be
-    unconverged.  Starts left at the cap are counted in a debug log.
+    iterates until the cells its coordinates lie in and the clamp pattern of
+    its thresholds have held for three steps, then solves that cell's
+    fixed-point system exactly (:func:`_cell_fixed_point`).  Trying at the
+    first repeat instead lets Newton's method on an n >= 3 cell, started
+    far from the fixed point, land on another root of the multilinear
+    system.  The solution ends the start only if it lies in the closed cell,
+    keeps the clamp pattern, sits on the iteration's side of the iterate
+    (above it from the bottom, below it from the top) and is a fixed point
+    of the clamped, pinned map to 1e-12; otherwise the start iterates on,
+    trying each cell at most once.  Iteration alone stops once no
+    coordinate moves more than 1e-10, or after ``max_iter`` steps.  When any
+    start was not converged by iteration, one debug line counts the starts
+    solved in their cell, converged by iteration and left at the cap.
     """
     n, vmax = mech.n, mech.vmax
     coords = [c.tolist() for c in mech.coords]
     tables = [(t.ravel().tolist(), t.shape) for t in mech.thresholds]
-    points, capped = [], 0
+    tol = 1e-12 * max(1.0, max(vmax))
+    points, solved, capped = [], 0, 0
     for mask in range(2 ** n - 1):
         free = [i for i in range(n) if not mask >> i & 1]
         for top in (False, True):
             v = [vmax[i] if top and i in free else 0.0 for i in range(n)]
+            last, prev, tried = None, None, set()
             for _ in range(max_iter):
                 cells = [core.locate(c, x) for c, x in zip(coords, v)]
-                new = [0.0] * n
-                for i in free:
-                    p = core.multilinear(*tables[i], cells[:i] + cells[i + 1:])
-                    new[i] = min(max(p, 0.0), vmax[i])
+                new, pattern = _pinned_map(tables, cells, free, vmax, tol)
                 v, old = new, v
                 if all(abs(a - b) <= 1e-10 for a, b in zip(v, old)):
                     break
+                key = (tuple(k for k, _ in cells), pattern)
+                if key == last == prev and key not in tried:
+                    tried.add(key)
+                    fixed = _cell_fixed_point(coords, tables, vmax, free, key,
+                                              v, top, tol)
+                    if fixed is not None:
+                        v = fixed
+                        solved += 1
+                        break
+                prev, last = last, key
             else:
                 capped += 1
             points.append(tuple(v))
-    if capped:
-        logger.debug("corner map: %d of %d starts ended at max_iter=%d still "
-                     "moving", capped, len(points), max_iter)
+    if solved or capped:
+        logger.debug("corner map: %d starts, %d solved in their cell, %d "
+                     "converged by iteration, %d left at max_iter=%d",
+                     len(points), solved, len(points) - solved - capped,
+                     capped, max_iter)
     return points
+
+
+def _pinned_map(tables, cells, free, vmax, tol: float):
+    """One step of the clamped threshold map at the located ``cells``, the
+    coordinates outside ``free`` pinned at zero, with the clamp pattern of
+    the free thresholds: 0 below zero, 2 above the bound, 1 otherwise (a
+    threshold within ``tol`` of a bound counts as inside)."""
+    new, pattern = [0.0] * len(cells), []
+    for i in free:
+        p = core.multilinear(*tables[i], cells[:i] + cells[i + 1:])
+        new[i] = min(max(p, 0.0), vmax[i])
+        pattern.append(0 if p < -tol else 2 if p > vmax[i] + tol else 1)
+    return new, tuple(pattern)
+
+
+def _cell_fixed_point(coords, tables, vmax, free, key, v, top: bool,
+                      tol: float):
+    """The pinned map's fixed point in the cell and clamp pattern ``key``,
+    solved next to the iterate v; None unless it is in the closed cell,
+    keeps the pattern, lies on the iteration's side of v and is a fixed
+    point of the clamped map to ``tol``."""
+    ks, pattern = key
+    solve = [i for i, p in zip(free, pattern) if p == 1]
+    x = list(v)                      # pinned and clamped entries are exact
+    if len(x) == 2 and len(solve) == 2:
+        x = _crossing_2d(coords[0], coords[1], tables[0][0], tables[1][0],
+                         *ks)
+    elif solve:
+        x = _newton_in_cell(coords, tables, ks, x, solve, tol)
+    if x is None:
+        return None
+    for i in solve:
+        c, k = coords[i], ks[i]
+        if not -1e-9 <= (x[i] - c[k]) / (c[k + 1] - c[k]) <= 1.0 + 1e-9:
+            return None
+    if not all(a <= b + tol if top else a >= b - tol for a, b in zip(x, v)):
+        return None
+    image, same = _pinned_map(tables, [core.locate(c, a) for c, a in
+                                       zip(coords, x)], free, vmax, tol)
+    if same != pattern or not all(abs(a - b) <= tol
+                                  for a, b in zip(image, x)):
+        return None
+    return [min(max(a, 0.0), b) for a, b in zip(x, vmax)]
+
+
+def _newton_in_cell(coords, tables, ks, x, solve, tol: float,
+                    max_steps: int = 20):
+    """Newton's method for v_i = p_i(v_{-i}), i in ``solve``, each p_i the
+    multilinear polynomial of cell ``ks`` (unclamped weights, so iterates
+    may leave the cell); the other coordinates keep their values in x.
+    With at most two unknowns the system is linear and one step solves it.
+    None when the Jacobian is singular."""
+    n = len(x)
+    base = [coords[j][ks[j]] for j in range(n)]
+    width = [coords[j][ks[j] + 1] - base[j] for j in range(n)]
+    x = list(x)
+    for _ in range(max_steps):
+        w = [(x[j] - base[j]) / width[j] for j in range(n)]
+        jac, resid = [], []
+        for i in solve:
+            cells = [(ks[j], w[j]) for j in range(n) if j != i]
+            row, p = [], None
+            for j in solve:
+                if j == i:
+                    row.append(1.0)
+                    continue
+                d = j - (j > i)
+                cells[d] = (ks[j], 0.0)
+                lo = core.multilinear(*tables[i], cells)
+                cells[d] = (ks[j], 1.0)
+                hi = core.multilinear(*tables[i], cells)
+                cells[d] = (ks[j], w[j])
+                row.append((lo - hi) / width[j])
+                if p is None:                 # p_i is affine in each w_j
+                    p = lo + w[j] * (hi - lo)
+            if p is None:
+                p = core.multilinear(*tables[i], cells)
+            resid.append(x[i] - p)
+            jac.append(row)
+        try:
+            step = np.linalg.solve(jac, resid).tolist()
+        except np.linalg.LinAlgError:                 # singular Jacobian
+            return None
+        for i, s in zip(solve, step):
+            x[i] -= s
+        if len(solve) <= 2 or max(abs(s) for s in step) <= 1e3 * tol:
+            break
+    return x
+
+
+def _crossing_2d(c1, c2, t1, t2, j: int, k: int):
+    """Where v1 = p1(v2) meets v2 = p2(v1), both taken linear on their cells
+    (v1 in cell j of c1, v2 in cell k of c2); None when they are parallel."""
+    y0, y1 = c2[k], c2[k + 1]
+    B = (t1[k + 1] - t1[k]) / (y1 - y0)
+    A = t1[k] - B * y0                                # v1 = A + B v2
+    x0, x1 = c1[j], c1[j + 1]
+    D = (t2[j + 1] - t2[j]) / (x1 - x0)
+    C = t2[j] - D * x0                                # v2 = C + D v1
+    denom = 1.0 - B * D
+    if abs(denom) < 1e-12:
+        return None
+    x = (A + B * C) / denom
+    return x, C + D * x
 
 
 def _threshold_crossings_2d(mech: GridMechanism) -> list[tuple[float, float]]:
     """Intersections of v1 = p1(v2) with v2 = p2(v1), cell by cell."""
-    c1, c2 = mech.coords[0], mech.coords[1]
-    t1, t2 = mech.thresholds[0], mech.thresholds[1]   # p1 over c2, p2 over c1
+    c1, c2 = (c.tolist() for c in mech.coords)
+    t1, t2 = (t.tolist() for t in mech.thresholds)  # p1 over c2, p2 over c1
     out = []
     eps = 1e-12
     for k in range(len(c2) - 1):
-        y0, y1 = c2[k], c2[k + 1]
-        B = (t1[k + 1] - t1[k]) / (y1 - y0)
-        A = t1[k] - B * y0                            # v1 = A + B v2
         for j in range(len(c1) - 1):
-            x0, x1 = c1[j], c1[j + 1]
-            D = (t2[j + 1] - t2[j]) / (x1 - x0)
-            C = t2[j] - D * x0                        # v2 = C + D v1
-            denom = 1.0 - B * D
-            if abs(denom) < 1e-12:
-                continue
-            x = (A + B * C) / denom
-            y = C + D * x
-            if x0 - eps <= x <= x1 + eps and y0 - eps <= y <= y1 + eps:
-                out.append((float(x), float(y)))
+            point = _crossing_2d(c1, c2, t1, t2, j, k)
+            if point is not None and c1[j] - eps <= point[0] <= c1[j + 1] + eps \
+                    and c2[k] - eps <= point[1] <= c2[k + 1] + eps:
+                out.append(point)
     return out
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,19 @@ class TestLeastFixedPoint:
     def test_constant_map(self):
         pt = AffineThresholds(np.array([0.3, -0.1]), np.zeros(2), (1.0, 1.0))
         assert ma.least_fixed_point(pt) == pytest.approx([0.3, 0.0])
+
+    def test_iteration_count_is_logged(self, caplog):
+        solved = AffineThresholds(np.array([2 / 15, 2 / 15]),
+                                  np.array([2 / 3, 2 / 3]), (1.0, 1.0))
+        at_top = AffineThresholds(np.array([2.0, 2.0]), np.zeros(2),
+                                  (1.0, 1.0))
+        with caplog.at_level(logging.DEBUG, logger="maxmin_auction.improve"):
+            ma.least_fixed_point(solved)
+            ma.least_fixed_point(at_top)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "least fixed point: iterations=1, solved on its "
+                            "clamp pattern"),
+            (logging.DEBUG, "least fixed point: iterations=2, converged")]
 
     def test_singular_high_means_map_hits_floor(self):
         """With multiplier product one the fixed points form a segment; the

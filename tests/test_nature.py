@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import random_corner_lsa, random_instance
+from generators import (random_corner_lsa, random_feasible_mechanism,
+                        random_instance)
 from maxmin_auction import nature
 from maxmin_auction.errors import (BoundaryError, DomainError, InfeasibleError,
                                    SizeError)
@@ -101,6 +102,24 @@ class TestWorstCaseLP:
             v_fine, *_ = nature.worst_case_lp(
                 fine, nature.lower_revenue_table(lsa, fine), inst)
             assert v_fine <= v_coarse + 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: past the per-axis "
+                       "cap a step grid keeps its step points and drops the "
+                       "induced breakpoints")
+    def test_fine_step_does_not_raise_the_guarantee(self):
+        """ROADMAP item 2.  A step-0.002 grid has about 500 points per axis,
+        past the cap of 40, so its closure rounds are dropped and Nature
+        loses the breakpoints the default grid gives her.  Seed 7, pair 43
+        of (random_instance, random_feasible_mechanism): default 0.16942,
+        step 0.002 gives 0.16967, and the step grid with the default grid
+        merged in gives the default value back."""
+        rng = np.random.default_rng(7)
+        for _ in range(44):
+            inst = random_instance(rng, n=2)
+            mech = random_feasible_mechanism(rng, 2)
+        default, *_ = nature.mechanism_guarantee(mech, inst)
+        fine, *_ = nature.mechanism_guarantee(mech, inst, step=0.002)
+        assert fine <= default + 1e-9
 
 
 class TestBruteForce:
