@@ -177,7 +177,10 @@ def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
     a bidder with r_i == vmax_i is excluded outright.
     """
     r = np.asarray(r, dtype=float)
-    vm = np.broadcast_to(np.asarray(vmax, dtype=float), r.shape)
+    vm = np.asarray(vmax, dtype=float)
+    if vm.ndim and vm.shape != r.shape:
+        raise DomainError(f"{r.size} reserves for {vm.size} value bounds")
+    vm = np.broadcast_to(vm, r.shape)
     alphas, betas, excluded = [], [], []
     for ri, vi in zip(r, vm):
         if not (0.0 <= ri <= vi):

@@ -22,6 +22,8 @@ from .errors import DomainError, FeasibilityError, NumericalError
 
 logger = logging.getLogger(__name__)
 
+FIXED_POINT_MAX_ITER = 1_000_000
+
 
 @dataclass(frozen=True)
 class AffineThresholds:
@@ -113,8 +115,7 @@ def _affine_solve_on(pt: AffineThresholds, A: np.ndarray, free: list[int],
     return out
 
 
-def least_fixed_point(pt: AffineThresholds, vmax=None,
-                      max_iter: int = 1_000_000) -> np.ndarray:
+def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     """Least fixed point of v -> clamp(pt(v)) by monotone iteration from zero.
 
     Mid-iteration the affine system of the current clamp pattern is solved;
@@ -123,7 +124,7 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
     equals the iteration's limit.  This removes the slow creep near singular
     multiplier configurations.  The iteration count is logged at debug level.
     """
-    vmax = np.asarray(vmax if vmax is not None else pt.vmax, dtype=float)
+    vmax = np.asarray(pt.vmax, dtype=float)
     n = pt.n
     v = np.zeros(n)
     scale = float(max(1.0, vmax.max()))
@@ -134,7 +135,7 @@ def least_fixed_point(pt: AffineThresholds, vmax=None,
         return tuple(0 if raw[i] <= 0.0 else (2 if raw[i] >= vmax[i] else 1)
                      for i in range(n))
 
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, FIXED_POINT_MAX_ITER + 1):
         raw = pt.apply(v)
         new = np.minimum(np.maximum(raw, 0.0), vmax)
         if np.max(np.abs(new - v)) < 1e-12:

@@ -27,6 +27,11 @@ from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
 from .simplex import solve_lp
 
 PROB_TOL = 1e-12
+MAX_PER_AXIS = 200            # coordinates per axis of an LSA's grid
+MAX_STEP_NODES = 10_000_000   # largest grid a ``step`` may ask for
+MAP_MAX_ITER = 200            # steps of one corner-map start
+NEWTON_STEPS = 20             # Newton steps of one cell solve
+BRUTE_FORCE_GUARD = 10_000_000  # most supports brute_force_min enumerates
 
 logger = logging.getLogger(__name__)
 
@@ -66,17 +71,28 @@ def dedup_sorted(values, tol: float, snap=None) -> np.ndarray:
 
 
 def breakpoint_coords(mech, step: float | None = None,
-                      extra=None, max_per_axis: int = 200) -> list[np.ndarray]:
+                      extra=None) -> list[np.ndarray]:
     """Per-bidder coordinates covering the box with all threshold breakpoints.
 
     For affine-score mechanisms the induced threshold values are closed under
     a few rounds of re-tabulation, which is what makes the grid LP exact.
+    A ``step`` adds a uniform grid; it must be finite and positive, and
+    raises ``SizeError`` when that grid alone would have more than
+    ``MAX_STEP_NODES`` nodes.
     """
     n, vmax = mech.n, mech.vmax
-    rounds = 6
+    if step is not None:
+        step = float(step)
+        if not (math.isfinite(step) and step > 0.0):
+            raise DomainError(f"grid step must be finite and positive, "
+                              f"got {step}")
+        nodes = math.prod(float(v) / step + 1.0 for v in vmax)
+        if nodes > MAX_STEP_NODES:
+            raise SizeError(f"grid step {step} gives {nodes:.3g} nodes, more "
+                            f"than {MAX_STEP_NODES}")
+    rounds, max_per_axis = 6, MAX_PER_AXIS
     if not isinstance(mech, LinearScoreAuction):
-        rounds = 3
-        max_per_axis = min(max_per_axis, 40 if n == 2 else 24)
+        rounds, max_per_axis = 3, (40 if n == 2 else 24)
         # Corners of the no-sale region sit where threshold surfaces meet:
         # crossings (two bidders) and fixed points of the clamped threshold
         # map with any subset of coordinates pinned at zero.
@@ -114,8 +130,7 @@ def breakpoint_coords(mech, step: float | None = None,
     return coords
 
 
-def _map_corner_points(mech: GridMechanism, max_iter: int = 200
-                       ) -> list[tuple[float, ...]]:
+def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     """Extremal fixed points of v -> p(v) with coordinates pinned at zero.
 
     For monotone thresholds the iterations from the bottom and the top of the
@@ -131,9 +146,9 @@ def _map_corner_points(mech: GridMechanism, max_iter: int = 200
     (above it from the bottom, below it from the top) and is a fixed point
     of the clamped, pinned map to 1e-12; otherwise the start iterates on,
     trying each cell at most once.  Iteration alone stops once no
-    coordinate moves more than 1e-10, or after ``max_iter`` steps.  When any
-    start was not converged by iteration, one debug line counts the starts
-    solved in their cell, converged by iteration and left at the cap.
+    coordinate moves more than 1e-10, or after ``MAP_MAX_ITER`` steps.  When
+    any start was not converged by iteration, one debug line counts the
+    starts solved in their cell, converged by iteration and left at the cap.
     """
     n, vmax = mech.n, mech.vmax
     coords = [c.tolist() for c in mech.coords]
@@ -145,7 +160,7 @@ def _map_corner_points(mech: GridMechanism, max_iter: int = 200
         for top in (False, True):
             v = [vmax[i] if top and i in free else 0.0 for i in range(n)]
             last, prev, tried = None, None, set()
-            for _ in range(max_iter):
+            for _ in range(MAP_MAX_ITER):
                 cells = [core.locate(c, x) for c, x in zip(coords, v)]
                 new, pattern = _pinned_map(tables, cells, free, vmax, tol)
                 v, old = new, v
@@ -168,7 +183,7 @@ def _map_corner_points(mech: GridMechanism, max_iter: int = 200
         logger.debug("corner map: %d starts, %d solved in their cell, %d "
                      "converged by iteration, %d left at max_iter=%d",
                      len(points), solved, len(points) - solved - capped,
-                     capped, max_iter)
+                     capped, MAP_MAX_ITER)
     return points
 
 
@@ -215,8 +230,7 @@ def _cell_fixed_point(coords, tables, vmax, free, key, v, top: bool,
     return [min(max(a, 0.0), b) for a, b in zip(x, vmax)]
 
 
-def _newton_in_cell(coords, tables, ks, x, solve, tol: float,
-                    max_steps: int = 20):
+def _newton_in_cell(coords, tables, ks, x, solve, tol: float):
     """Newton's method for v_i = p_i(v_{-i}), i in ``solve``, each p_i the
     multilinear polynomial of cell ``ks`` (unclamped weights, so iterates
     may leave the cell); the other coordinates keep their values in x.
@@ -226,7 +240,7 @@ def _newton_in_cell(coords, tables, ks, x, solve, tol: float,
     base = [coords[j][ks[j]] for j in range(n)]
     width = [coords[j][ks[j] + 1] - base[j] for j in range(n)]
     x = list(x)
-    for _ in range(max_steps):
+    for _ in range(NEWTON_STEPS):
         w = [(x[j] - base[j]) / width[j] for j in range(n)]
         jac, resid = [], []
         for i in solve:
@@ -466,8 +480,7 @@ def dual_value(coords, t, instance: Instance, lam) -> float:
     return float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
 
 
-def brute_force_min(coords, t, instance: Instance,
-                    guard: int = 10_000_000) -> float:
+def brute_force_min(coords, t, instance: Instance) -> float:
     """Enumerate all supports of n+1 grid nodes and keep feasible solutions.
 
     Independent of the simplex path: each candidate support solves a square
@@ -479,8 +492,9 @@ def brute_force_min(coords, t, instance: Instance,
     k = n + 1
     if N < k:
         raise SizeError("grid smaller than a basic support")
-    if math.comb(N, k) > guard:
-        raise SizeError(f"{math.comb(N, k)} supports exceed the guard {guard}")
+    if math.comb(N, k) > BRUTE_FORCE_GUARD:
+        raise SizeError(f"{math.comb(N, k)} supports exceed the guard "
+                        f"{BRUTE_FORCE_GUARD}")
 
     b = np.concatenate([[1.0], instance.mean_vector])
     best = np.inf
@@ -533,6 +547,9 @@ def _check_wc_inputs(r, instance: Instance) -> tuple[float, float, float]:
         raise DomainError("closed-form worst cases are for two bidders")
     vmax = instance.common_vmax()
     r = np.asarray(r, dtype=float)
+    if r.shape != (2,) or not np.all(np.isfinite(r)):
+        raise DomainError(f"closed forms need two finite reserves, got "
+                          f"{r.tolist()}")
     if np.any(r < 0):
         raise DomainError("reserves must be nonnegative")
     if not (r[0] < instance.means[0] and r[1] < instance.means[1]):

@@ -5,11 +5,9 @@ and up to millions of columns, so the solver keeps only the m x m basis
 inverse next to the basic solution and prices every column with one
 ``y @ A`` pass per pivot; it never forms B^-1 A.
 
-A caller that knows a feasible basis passes it as ``start`` and phase 1 does
-not run; a start whose columns are exactly the identity, such as a slack
-basis, needs no inverse, so a tiny LP pays for its pivots alone.  Otherwise
-an artificial variable on every row forms the starting basis and phase 1
-drives them out; an artificial that leaves never returns.
+Every caller knows a feasible basis and passes it as ``start``, so there is
+no phase 1; a start whose columns are exactly the identity, such as a slack
+basis, needs no inverse, so a tiny LP pays for its pivots alone.
 Pivoting is deterministic: steepest reduced cost while the objective moves,
 Bland's rule after a run of degenerate pivots, and ratio-test ties go to the
 smaller basic index.
@@ -22,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericalError, UnboundedError
+from .errors import DomainError, NumericalError, UnboundedError
 
 PIVOT_TOL = 1e-10
 START_TOL = 1e-9       # a start's basic solution may dip this far below zero
 STALL_LIMIT = 8        # degenerate pivots in a row before Bland's rule
 MAX_COND = 1e12        # largest 1-norm condition number of a start's basis
+MAX_ITER = 100_000     # pivots before the solver gives up
 
 
 @dataclass
@@ -36,7 +35,7 @@ class LPResult:
     value: float           # c'x at the optimum
     basis: np.ndarray      # column indices of the final basis, one per row
     duals: np.ndarray      # y with y'A <= c' and y'b == value
-    pivots: tuple[int, int]  # pivots in phase 1 (0 from a start), phase 2
+    pivots: int            # pivots from the start to the optimum
 
 
 def _pivot(inv: np.ndarray, basis: np.ndarray, row: int, col: np.ndarray,
@@ -58,20 +57,16 @@ def _pivot(inv: np.ndarray, basis: np.ndarray, row: int, col: np.ndarray,
 
 
 def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
-                 basis: np.ndarray, cost_b: np.ndarray,
-                 max_iter: int) -> tuple[int, np.ndarray]:
+                 basis: np.ndarray) -> tuple[int, np.ndarray]:
     """Pivot in place until no reduced cost is below ``-PIVOT_TOL``.
 
-    ``cost_b`` holds the cost of each basic variable; basis indices past the
-    last column of ``A`` are artificials, which are never priced, so one
-    that leaves does not return.  Returns the pivot count and the final
-    duals.
+    Returns the pivot count and the final duals.
     """
     m = A.shape[0]
     binv, xb = inv[:, :m], inv[:, -1]      # views; _pivot updates inv in place
     stalled = pivots = 0
     while True:
-        y = cost_b @ binv
+        y = c[basis] @ binv
         reduced = c - y @ A
         if stalled > STALL_LIMIT:                  # Bland
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
@@ -82,7 +77,7 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
             entering = int(reduced.argmin())
             if reduced[entering] >= -PIVOT_TOL:
                 return pivots, y
-        if pivots == max_iter:
+        if pivots == MAX_ITER:
             raise NumericalError("simplex iteration limit exceeded")
         col = binv @ A[:, entering]
         colv, rhs, bas = col.tolist(), xb.tolist(), basis.tolist()
@@ -98,7 +93,6 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
             raise UnboundedError("objective unbounded below")
         stalled = 0 if best_ratio > PIVOT_TOL else stalled + 1
         _pivot(inv, basis, leaving, col, entering)
-        cost_b[leaving] = c[entering]
         pivots += 1
 
 
@@ -137,19 +131,16 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
     return np.column_stack([binv, np.maximum(xb, 0.0)]), basis
 
 
-def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None,
-             max_iter: int = 100_000) -> LPResult:
+def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start) -> LPResult:
     """Solve min c'x s.t. Ax = b, x >= 0 and return primal/dual data.
 
     ``start`` names m columns of ``A`` that form a feasible basis
-    (``B^-1 b >= 0``); with it, phase 1 is skipped.  ``A`` is never
-    modified, and copied only when a row must be negated to make its
-    right-hand side nonnegative.
+    (``B^-1 b >= 0``).  ``A`` is never modified, and copied only when a row
+    must be negated to make its right-hand side nonnegative.
     """
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    m, ncols = A.shape
 
     flip = b < 0
     flipped = flip.any()
@@ -158,36 +149,13 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None,
         A[flip] *= -1.0
         b[flip] *= -1.0
 
-    phase1 = 0
-    if start is not None:
-        inv, basis = _start_basis(A, b, start)
-    else:
-        # Phase 1: artificial variables form the starting basis.
-        inv = np.column_stack([np.eye(m), b])
-        basis = np.arange(ncols, ncols + m)
-        phase1, _ = _run_simplex(np.zeros(ncols), A, inv, basis, np.ones(m),
-                                 max_iter)
-        if float(inv[basis >= ncols, -1].sum()) > 1e-9:
-            raise InfeasibleError("no feasible point")
-        # Drive artificials that remain basic at zero level out of the basis;
-        # rows where none can enter are redundant and keep their artificial.
-        for i in np.flatnonzero(basis >= ncols):
-            nz = np.flatnonzero(np.abs(inv[i, :m] @ A) > PIVOT_TOL)
-            if nz.size:
-                _pivot(inv, basis, i, inv[:, :m] @ A[:, nz[0]], int(nz[0]))
-                phase1 += 1
+    inv, basis = _start_basis(A, b, start)
+    pivots, duals = _run_simplex(c, A, inv, basis)
 
-    # Phase 2 on the original costs; a redundant row's artificial costs 0.
-    real = basis < ncols
-    cost_b = np.zeros(m)
-    cost_b[real] = c[basis[real]]
-    phase2, duals = _run_simplex(c, A, inv, basis, cost_b, max_iter)
-
-    real = basis < ncols                   # an artificial at zero may have left
-    x = np.zeros(ncols)
-    x[basis[real]] = inv[real, -1]
-    value = float(c[basis[real]] @ inv[real, -1])
+    xb = inv[:, -1].copy()      # a strided view would sum in another order
+    x = np.zeros(A.shape[1])
+    x[basis] = xb
+    value = float(c[basis] @ xb)
     if flipped:
         duals[flip] *= -1.0
-    return LPResult(x=x, value=value, basis=basis[real], duals=duals,
-                    pivots=(phase1, phase2))
+    return LPResult(x=x, value=value, basis=basis, duals=duals, pivots=pivots)

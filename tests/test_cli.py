@@ -195,6 +195,29 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "n=2" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_bad_grid_step_is_exit_1(self, inst64, tmp_path, capsys, step):
+        mech = write(tmp_path, "m.json", GRID_2)
+        code, out, err = run_capture(capsys, ["evaluate", inst64, mech,
+                                              "--grid-step", step])
+        assert code == 1 and out == ""
+        assert "grid step" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("reserves", ["0.4", "nan,0.3", "0.2,0.2,0.2"])
+    def test_bad_closed_form_reserves_is_exit_1(self, inst64, capsys,
+                                                reserves):
+        code, out, err = run_capture(capsys, ["worst-case", inst64,
+                                              "--reserves", reserves])
+        assert code == 1 and out == ""
+        assert "two finite reserves" in json.loads(err)["error"]
+
+    def test_reserve_count_mismatch_is_exit_1(self, inst64, tmp_path, capsys):
+        mech = write(tmp_path, "m.json",
+                     {"type": "corner_hitting", "reserves": [0.3]})
+        code, out, err = run_capture(capsys, ["evaluate", inst64, mech])
+        assert code == 1 and out == ""
+        assert "1 reserves for 2 value bounds" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("command", ["evaluate", "improve", "member"])
     def test_bound_mismatch_is_exit_1(self, tmp_path, capsys, command):
         inst = write(tmp_path, "i.json",

@@ -77,6 +77,13 @@ class TestCornerHitting:
         with pytest.raises(DomainError):
             ma.corner_hitting([1.2, 0.3], [1.0, 1.0])
 
+    @pytest.mark.parametrize("r, vmax", [([0.3], [1.0, 1.0]),
+                                         ([0.3, 0.3], [1.0, 1.0, 1.0])])
+    def test_length_mismatch_raises(self, r, vmax):
+        with pytest.raises(DomainError,
+                           match=f"{len(r)} reserves for {len(vmax)} value"):
+            ma.corner_hitting(r, vmax)
+
 
 class TestAllocate:
     def test_higher_value_wins(self):

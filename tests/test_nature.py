@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,8 +153,27 @@ class TestBruteForce:
     def test_guard(self):
         inst = ma.Instance(2, [0.5, 0.5], 1.0)
         coords = [np.linspace(0, 1, 40)] * 2
+        # C(1600, 3) ~ 6.8e8 supports, past the 1e7 guard
         with pytest.raises(SizeError):
-            nature.brute_force_min(coords, np.zeros((40, 40)), inst, guard=1000)
+            nature.brute_force_min(coords, np.zeros((40, 40)), inst)
+
+
+class TestGridStep:
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(DomainError, match="grid step"):
+            nature.breakpoint_coords(example1_mechanism(), step=step)
+
+    def test_tiny_step_raises_before_allocating(self):
+        # step 1e-6 asks for about 1e12 nodes at n = 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="grid step"):
+                nature.breakpoint_coords(example1_mechanism(), step=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestDualValue:
@@ -203,6 +224,16 @@ class TestWorstCaseClassification:
     def test_reserve_at_mean_rejected(self):
         with pytest.raises(DomainError):
             nature.wcdistr2_classify([0.7, 0.2], self.INST)
+
+    @pytest.mark.parametrize("r", [[0.4], [0.2, 0.2, 0.2], [np.nan, 0.3],
+                                   [0.3, np.inf]])
+    @pytest.mark.parametrize("fn", [nature.wcdistr2_classify,
+                                    nature.wcdistr2_construct,
+                                    nature.lsa2_dual_multipliers,
+                                    nature.lsa2_guarantee])
+    def test_reserves_need_two_finite_entries(self, fn, r):
+        with pytest.raises(DomainError, match="two finite reserves"):
+            fn(r, self.INST)
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):
