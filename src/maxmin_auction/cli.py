@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 import numpy as np
 
-from . import core, improve, nature, optset, solve
+from . import core, dual, improve, nature, optset, solve
 from .core import GridMechanism, Instance, LinearScoreAuction, corner_hitting
 from .errors import DomainError
 
@@ -42,27 +43,34 @@ def _load_json(path: str):
 
 def _parse_instance(data) -> Instance:
     try:
-        return Instance(int(data["n"]), data["means"], data["vmax"])
+        return Instance(operator.index(data["n"]), data["means"], data["vmax"])
     except KeyError as exc:
         raise DomainError(f"instance file missing key {exc}") from exc
+    except TypeError as exc:
+        raise DomainError(f"mistyped instance file: {exc}") from exc
 
 
 def _parse_mechanism(data, instance: Instance):
+    if not isinstance(data, dict):
+        raise DomainError("mechanism file must hold a JSON object")
     kind = data.get("type")
-    if kind == "corner_hitting":
-        return corner_hitting(data["reserves"], instance.vmax)
-    if kind == "lsa":
-        alphas = tuple(float(a) for a in data["alphas"])
-        betas = tuple(float(b) for b in data["betas"])
-        excluded = tuple(bool(e) for e in data.get(
-            "excluded", [False] * instance.n))
-        return LinearScoreAuction(alphas, betas, instance.vmax, excluded)
-    if kind == "grid":
-        return GridMechanism(data["coords"], data["thresholds"])
+    try:
+        if kind == "corner_hitting":
+            return corner_hitting(data["reserves"], instance.vmax)
+        if kind == "lsa":
+            alphas = tuple(float(a) for a in data["alphas"])
+            betas = tuple(float(b) for b in data["betas"])
+            excluded = tuple(bool(e) for e in data.get(
+                "excluded", [False] * instance.n))
+            return LinearScoreAuction(alphas, betas, instance.vmax, excluded)
+        if kind == "grid":
+            return GridMechanism(data["coords"], data["thresholds"])
+    except TypeError as exc:
+        raise DomainError(f"mistyped mechanism file: {exc}") from exc
     raise DomainError(f"unknown mechanism type {kind!r}")
 
 
-def _as_grid(mech, instance: Instance) -> GridMechanism:
+def _as_grid(mech) -> GridMechanism:
     if isinstance(mech, GridMechanism):
         return mech
     return core.grid_from_lsa(mech, nature.breakpoint_coords(mech))
@@ -131,14 +139,11 @@ def cmd_worst_case(args) -> dict:
 
 def cmd_improve(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance),
-                    instance)
+    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance))
     lsa, audit = improve.dominating_lsa(mech, instance)
     reserves = [lsa.reserve(i) for i in range(lsa.n)]
-    from .dual import lsa_guarantee
-
     try:
-        out_guarantee = lsa_guarantee(reserves, instance)[0]
+        out_guarantee = dual.lsa_guarantee(reserves, instance)[0]
     except DomainError:
         out_guarantee = nature.mechanism_guarantee(lsa, instance)[0]
     return {
@@ -159,8 +164,7 @@ def cmd_improve(args) -> dict:
 
 def cmd_member(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance),
-                    instance)
+    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance))
     ok, violations = optset.member(mech, instance)
     return {
         "member": ok,

@@ -152,22 +152,27 @@ class LinearScoreAuction:
             t[winner] = self.threshold(winner, drop(v, winner))
         return t
 
-    def tables(self, coords) -> list[np.ndarray]:
-        """p_i on the product of bidder i's rival coordinate lists, each i."""
+    def unclamped_tables(self, coords) -> list[np.ndarray]:
+        """(alpha_i + max(0, rival scores)) / beta_i on the product of bidder
+        i's rival coordinate lists, each i; ``+inf`` for an excluded bidder."""
         out = []
         for i in range(self.n):
             axes = rival_axes(coords, i)
             shape = tuple(a.size for _, a in axes)
             if self.excluded[i]:
-                out.append(np.full(shape, self.vmax[i]))
+                out.append(np.full(shape, np.inf))
                 continue
             best = np.zeros(shape)
             for j, a in axes:
                 if not self.excluded[j]:
                     best = np.maximum(best, self.betas[j] * a - self.alphas[j])
-            p = (self.alphas[i] + best) / self.betas[i]
-            out.append(np.clip(p, 0.0, self.vmax[i]))
+            out.append((self.alphas[i] + best) / self.betas[i])
         return out
+
+    def tables(self, coords) -> list[np.ndarray]:
+        """p_i on the product of bidder i's rival coordinate lists, each i."""
+        return [np.clip(p, 0.0, vm)
+                for p, vm in zip(self.unclamped_tables(coords), self.vmax)]
 
 
 def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:

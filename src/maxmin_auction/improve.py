@@ -1,9 +1,10 @@
 """Constructing a reserve auction that dominates an arbitrary feasible mechanism.
 
-Pipeline: take the dual multipliers of Nature's problem, zero out negative
-ones while excluding those bidders, replace each threshold function by its
-affine minorant with the multiplier slopes, and read the new generalized
-reserves off the least fixed point of the resulting monotone map.
+Pipeline: take the dual multipliers of Nature's problem, exclude the bidders
+whose multipliers are not positive and zero those multipliers, replace each
+threshold function by its affine minorant with the multiplier slopes, and
+read the new generalized reserves off the least fixed point of the resulting
+monotone map.
 """
 
 from __future__ import annotations
@@ -69,20 +70,22 @@ def det_A(lam) -> float:
 
 
 def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarray]:
-    """Remove bidders with negative multipliers and clamp their values to zero.
+    """Remove bidders with multipliers <= 0 and clamp their values to zero.
 
-    With nonnegative multipliers the map is the identity; otherwise negative
+    With positive multipliers the map is the identity; otherwise those
     bidders get priced out and the rest are re-tabulated at zero for them.
+    A zero multiplier is priced out like a negative one, so simplex
+    round-off (-8e-17 against 0.0) cannot decide the split.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.all(lam >= 0.0):
+    if np.all(lam > 0.0):
         return mech, lam.copy()
     tables = []
     for i, t in enumerate(mech.thresholds):
         # a priced-out rival sits at her lowest node, v_j = 0
-        pin = tuple(slice(0, 1) if lam[j] < 0.0 else slice(None)
+        pin = tuple(slice(0, 1) if lam[j] <= 0.0 else slice(None)
                     for j in range(mech.n) if j != i)
-        tables.append(np.full(t.shape, mech.vmax[i]) if lam[i] < 0.0
+        tables.append(np.full(t.shape, mech.vmax[i]) if lam[i] <= 0.0
                       else np.broadcast_to(t[pin], t.shape).copy())
     return GridMechanism(mech.coords, tables), np.maximum(lam, 0.0)
 
@@ -171,16 +174,14 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
         sub = A[np.ix_(free, free)]
         if abs(np.linalg.det(sub)) > 1e-9:
             polished = _affine_solve_on(pt, A, free, v)
-            if polished is not None:
-                clipped = np.minimum(np.maximum(polished, 0.0), vmax)
-                check = np.minimum(np.maximum(pt.apply(clipped), 0.0), vmax)
-                if np.max(np.abs(check - clipped)) <= 1e-9 * scale:
-                    v = clipped
+            clipped = np.minimum(np.maximum(polished, 0.0), vmax)
+            check = np.minimum(np.maximum(pt.apply(clipped), 0.0), vmax)
+            if np.max(np.abs(check - clipped)) <= 1e-9 * scale:
+                v = clipped
     return v
 
 
-def lagrangian_on_grid(thresholds, lam, instance: Instance,
-                       coords=None) -> float:
+def lagrangian_on_grid(thresholds, lam, instance: Instance, coords) -> float:
     """Reduced revenue functional on a grid: lam @ m plus the worst infimum.
 
     ``thresholds`` is any mechanism that tabulates itself with ``tables``.
@@ -197,10 +198,6 @@ def lagrangian_on_grid(thresholds, lam, instance: Instance,
         raise DomainError(f"need {instance.n} multipliers, got {lam.shape}")
     if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
         raise DomainError("affine minorants assume nonnegative multipliers")
-    if coords is None:
-        coords = nature.breakpoint_coords(thresholds) \
-            if not isinstance(thresholds, AffineThresholds) \
-            else [np.array([0.0, v]) for v in thresholds.vmax]
     coords = [np.asarray(c, dtype=float) for c in coords]
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-12 * scale
@@ -293,10 +290,7 @@ def _descent_direction(pt: AffineThresholds, vstar: np.ndarray):
         sub = A[np.ix_(free, free)]
         if abs(np.linalg.det(sub)) < 1e-9:
             return None
-        try:
-            d_free = np.linalg.solve(sub, np.ones(len(free)))
-        except np.linalg.LinAlgError:
-            return None
+        d_free = np.linalg.solve(sub, np.ones(len(free)))
         if np.any(d_free <= 0.0):
             return None
         d[free] = d_free

@@ -22,6 +22,7 @@ from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, corner_hitting,
                    grid_nodes)
+from .dual import lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
 from .simplex import solve_lp
@@ -53,7 +54,7 @@ class DualCertificate:
 # Grids and revenue tabulation
 # ---------------------------------------------------------------------------
 
-def dedup_sorted(values, tol: float, snap=None) -> np.ndarray:
+def dedup_sorted(values, tol: float, snap) -> np.ndarray:
     """Sorted unique values; clusters within tol collapse to their first
     member, except that clusters touching a ``snap`` anchor take the anchor
     itself (keeps box endpoints exact, never one rounding off)."""
@@ -63,15 +64,12 @@ def dedup_sorted(values, tol: float, snap=None) -> np.ndarray:
         if v - keep[-1] > tol:
             keep.append(v)
     out = np.asarray(keep)
-    if snap is not None:
-        for anchor in snap:
-            out[np.abs(out - anchor) <= tol] = anchor
-        out = np.unique(out)
-    return out
+    for anchor in snap:
+        out[np.abs(out - anchor) <= tol] = anchor
+    return np.unique(out)
 
 
-def breakpoint_coords(mech, step: float | None = None,
-                      extra=None) -> list[np.ndarray]:
+def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     """Per-bidder coordinates covering the box with all threshold breakpoints.
 
     For affine-score mechanisms the induced threshold values are closed under
@@ -90,8 +88,10 @@ def breakpoint_coords(mech, step: float | None = None,
         if nodes > MAX_STEP_NODES:
             raise SizeError(f"grid step {step} gives {nodes:.3g} nodes, more "
                             f"than {MAX_STEP_NODES}")
-    rounds, max_per_axis = 6, MAX_PER_AXIS
-    if not isinstance(mech, LinearScoreAuction):
+    if isinstance(mech, LinearScoreAuction):
+        rounds, max_per_axis = 6, MAX_PER_AXIS
+        seeds = [[mech.reserve(i)] for i in range(n)]
+    else:
         rounds, max_per_axis = 3, (40 if n == 2 else 24)
         # Corners of the no-sale region sit where threshold surfaces meet:
         # crossings (two bidders) and fixed points of the clamped threshold
@@ -99,24 +99,18 @@ def breakpoint_coords(mech, step: float | None = None,
         corners = _map_corner_points(mech)
         if n == 2:
             corners.extend(_threshold_crossings_2d(mech))
+        seeds = [[*mech.coords[i], *(point[i] for point in corners)]
+                 for i in range(n)]
     tol = 1e-12 * max(1.0, max(vmax))
     coords = []
     for i in range(n):
-        base = [0.0, vmax[i]]
-        if isinstance(mech, LinearScoreAuction):
-            base.append(mech.reserve(i))
-        else:
-            base.extend(np.asarray(mech.coords[i], dtype=float))
-            base.extend(point[i] for point in corners)
-        if extra is not None and extra[i] is not None:
-            base.extend(np.asarray(extra[i], dtype=float))
+        base = [0.0, vmax[i], *seeds[i]]
         if step is not None:
             base.extend(np.arange(0.0, vmax[i] + step / 2, step))
         coords.append(dedup_sorted(base, tol, snap=(0.0, vmax[i])))
     for _ in range(rounds):
         grew = False
-        snapshot = [c.copy() for c in coords]      # no cascade within a round
-        induced = mech.tables(snapshot)
+        induced = mech.tables(coords)        # before any axis grows this round
         for i in range(n):
             merged = dedup_sorted(np.concatenate(
                 [coords[i], induced[i].ravel()]), tol, snap=(0.0, vmax[i]))
@@ -377,15 +371,8 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
         # A bidder is a winner candidate where her value reaches the raw
         # score threshold; a threshold clamped at her bound means she cannot
         # win there at all (this matters only under unequal bounds).
-        scores = [mech.betas[i] * value_grids[i] - mech.alphas[i]
-                  for i in range(n)]
-        raw = [np.inf] * n
-        for i in mech.included():
-            rival = np.zeros(shape)
-            for j in mech.included():
-                if j != i:
-                    rival = np.maximum(rival, scores[j])
-            raw[i] = (mech.alphas[i] + rival) / mech.betas[i]
+        raw = [np.expand_dims(p, axis=i)
+               for i, p in enumerate(mech.unclamped_tables(coords))]
         t = least_winning_threshold(value_grids, raw, tol)
         # No-sale profiles accumulate exactly below the reserves.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
@@ -579,8 +566,6 @@ def wcdistr2_classify(r, instance: Instance) -> WorstCaseType:
 
 def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
     """Optimal mean-constraint multipliers for a two-bidder reserve auction."""
-    from .dual import lsa_lagrangian
-
     r1, r2, vmax = _check_wc_inputs(r, instance)
     kind = wcdistr2_classify(r, instance)
     if kind is WorstCaseType.I:
@@ -596,8 +581,6 @@ def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
 
 def lsa2_guarantee(r, instance: Instance) -> float:
     """Worst-case expected revenue of the two-bidder reserve auction."""
-    from .dual import lsa_lagrangian
-
     return lsa_lagrangian(r, lsa2_dual_multipliers(r, instance), instance)
 
 
@@ -626,10 +609,8 @@ def wcdistr2_construct(r, instance: Instance) -> DiscreteDistribution:
         a_lo = max(0.0, (vmax - m2) / (vmax - r2))
         a_hi = min(1.0, (m1 - r1) / (vmax - r1))
         if a_hi < a_lo - PROB_TOL:
-            # Should not happen inside the regime; defer to the LP's basis.
-            lsa = corner_hitting([r1, r2], instance.vmax)
-            _, dist, _, _ = mechanism_guarantee(lsa, instance)
-            return dist
+            raise RegimeError("no split of the wall mass; not a sale-sure "
+                              "regime")
         a = 0.5 * (a_lo + a_hi)
         x = (m1 - a * vmax) / (1.0 - a)
         y = (m2 - (1.0 - a) * vmax) / a

@@ -43,8 +43,8 @@ def _eval_nodes(mech: GridMechanism, i: int, rstar: np.ndarray,
     return np.unique(np.clip(nodes, 0.0, vmax))
 
 
-def member(mech: GridMechanism, instance: Instance,
-           tol: float = TOL) -> tuple[bool, list[Violation]]:
+def member(mech: GridMechanism,
+           instance: Instance) -> tuple[bool, list[Violation]]:
     """Does the mechanism achieve the optimal worst-case revenue?
 
     Returns the verdict plus every violated envelope condition with a witness.
@@ -67,35 +67,35 @@ def member(mech: GridMechanism, instance: Instance,
         for w in nodes:
             p = mech.threshold(i, [w])
             lower = rstar[i] + slope * (w - rstar[rival])
-            if p < lower - tol:
+            if p < lower - TOL:
                 violations.append(Violation(lower_cond, i, float(w), p,
                                             float(lower)))
-            if w <= rstar[rival] + tol:
+            if w <= rstar[rival] + TOL:
                 upper = (lam[0] * rstar[0] + lam[1] * rstar[1]
                          - slope * w) / lam[i]
-                if p > upper + tol:
+                if p > upper + TOL:
                     violations.append(Violation(upper_cond, i, float(w), p,
                                                 float(upper)))
-            if high and w >= rstar[rival] - tol and abs(p - lower) > tol:
+            if high and w >= rstar[rival] - TOL and abs(p - lower) > TOL:
                 violations.append(Violation(1, i, float(w), p, float(lower)))
 
     if sol.regime is Regime.LOW_MEANS:
         for i in (0, 1):
             rival = 1 - i
             nodes = _eval_nodes(mech, i, rstar, vmax)
-            above = nodes[nodes >= rstar[rival] - tol]
+            above = nodes[nodes >= rstar[rival] - TOL]
             vals = np.array([mech.threshold(i, [w]) for w in above])
-            drops = np.flatnonzero(vals[1:] < vals[:-1] - tol)
+            drops = np.flatnonzero(vals[1:] < vals[:-1] - TOL)
             for k in drops:
                 violations.append(Violation(3, i, float(above[k + 1]),
                                             float(vals[k + 1]), float(vals[k])))
-        violations.extend(_inverse_violations(mech, rstar, vmax, tol))
+        violations.extend(_inverse_violations(mech, rstar, vmax))
 
     return (len(violations) == 0), violations
 
 
-def _inverse_violations(mech: GridMechanism, rstar: np.ndarray, vmax: float,
-                        tol: float) -> list[Violation]:
+def _inverse_violations(mech: GridMechanism, rstar: np.ndarray,
+                        vmax: float) -> list[Violation]:
     """Where p_rival strictly increases above the reserves, the two threshold
     functions must invert each other."""
     out: list[Violation] = []
@@ -104,18 +104,18 @@ def _inverse_violations(mech: GridMechanism, rstar: np.ndarray, vmax: float,
         # Strict increase of p_rival over bidder i's own value axis.
         own_nodes = np.unique(np.concatenate([mech.coords[i],
                                               [rstar[i], vmax]]))
-        own_nodes = own_nodes[(own_nodes >= rstar[i] - tol)
-                              & (own_nodes <= vmax + tol)]
+        own_nodes = own_nodes[(own_nodes >= rstar[i] - TOL)
+                              & (own_nodes <= vmax + TOL)]
         for a, bnd in zip(own_nodes[:-1], own_nodes[1:]):
             pa = mech.threshold(rival, [a])
             pb = mech.threshold(rival, [bnd])
-            if pb - pa <= tol:
+            if pb - pa <= TOL:
                 continue
             for frac in (0.25, 0.5, 0.75):
                 x = a + frac * (bnd - a)
                 image = mech.threshold(rival, [x])
                 back = mech.threshold(i, [image])
-                if abs(back - x) > tol:
+                if abs(back - x) > TOL:
                     out.append(Violation(4, i, float(image), float(back),
                                          float(x)))
                     break

@@ -100,10 +100,9 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
                                                                 np.ndarray]:
     """``[B^-1 | x_B]`` and the basis for a caller's feasible start.
 
-    A start whose columns are exactly the identity (a slack basis after the
-    sign flip that made ``b >= 0``) has B^-1 = I, condition number 1 and
-    x_B = b >= 0: it needs no inverse, and it passes the conditioning and
-    feasibility checks by construction.
+    A start whose columns are exactly the identity (a slack basis) has
+    B^-1 = I, condition number 1 and x_B = b: it needs no inverse and passes
+    the conditioning check by construction.
     """
     m, ncols = A.shape
     try:
@@ -117,38 +116,32 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
     B = A[:, basis]
     inv = np.eye(m, m + 1)
     if (B == inv[:, :m]).all():
-        inv[:, -1] = b
-        return inv, basis
-    try:
-        binv = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        raise DomainError("start basis is singular") from None
-    if np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max() > MAX_COND:
-        raise DomainError("start basis is numerically singular")
-    xb = binv @ b
+        xb = b
+    else:
+        try:
+            binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            raise DomainError("start basis is singular") from None
+        if (np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
+                > MAX_COND):
+            raise DomainError("start basis is numerically singular")
+        inv[:, :m] = binv
+        xb = binv @ b
     if (xb < -START_TOL).any():
         raise DomainError("start basis is not feasible")
-    return np.column_stack([binv, np.maximum(xb, 0.0)]), basis
+    inv[:, -1] = np.maximum(xb, 0.0)
+    return inv, basis
 
 
 def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start) -> LPResult:
     """Solve min c'x s.t. Ax = b, x >= 0 and return primal/dual data.
 
     ``start`` names m columns of ``A`` that form a feasible basis
-    (``B^-1 b >= 0``).  ``A`` is never modified, and copied only when a row
-    must be negated to make its right-hand side nonnegative.
+    (``B^-1 b >= 0``).  ``A`` is never modified or copied.
     """
     A = np.asarray(A, dtype=float)
-    b = np.array(b, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-
-    flip = b < 0
-    flipped = flip.any()
-    if flipped:
-        A = A.copy()
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-
     inv, basis = _start_basis(A, b, start)
     pivots, duals = _run_simplex(c, A, inv, basis)
 
@@ -156,6 +149,4 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start) -> LPResult:
     x = np.zeros(A.shape[1])
     x[basis] = xb
     value = float(c[basis] @ xb)
-    if flipped:
-        duals[flip] *= -1.0
     return LPResult(x=x, value=value, basis=basis, duals=duals, pivots=pivots)

@@ -122,8 +122,9 @@ def optimal_reserves(instance: Instance) -> OptimalSolution:
                            canonical, rset, guarantee)
 
 
-def reserve_is_optimal(r, instance: Instance, tol: float = 1e-9) -> bool:
-    """Membership test for the set of optimal reserve vectors."""
+def reserve_is_optimal(r, instance: Instance) -> bool:
+    """Membership test for the set of optimal reserve vectors, to 1e-9."""
+    tol = 1e-9
     vmax = instance.common_vmax()
     r = np.asarray(r, dtype=float)
     if r.shape != (instance.n,) or np.any(r < -tol) or np.any(r > vmax + tol):
@@ -180,7 +181,7 @@ def gamma_equation_residual(gamma: float, instance: Instance) -> float:
     return (v1 - v2) / (gamma + 1.0) ** 2 + (v2 - m2) / gamma ** 2 - (v1 - m1)
 
 
-def _bisect_gamma(instance: Instance, width: float = 1e-12) -> float:
+def _bisect_gamma(instance: Instance) -> float:
     lo, hi = 1e-9, 1e9
     f_lo = gamma_equation_residual(lo, instance)
     f_hi = gamma_equation_residual(hi, instance)
@@ -197,7 +198,7 @@ def _bisect_gamma(instance: Instance, width: float = 1e-12) -> float:
         guard += 1
         if guard > 4000:
             raise NumericalError("no bracket above")
-    while hi - lo > width:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if gamma_equation_residual(mid, instance) > 0.0:
             lo = mid

@@ -92,10 +92,11 @@ def test_06_strong_duality_and_oracle():
             n = 2 if trial % 2 == 0 else 3
             inst = random_instance(rng, n=n)
             lsa = random_corner_lsa(rng, inst)
-            extra = None
+            coords = nature.breakpoint_coords(lsa)
             if n == 2 and rng.random() < 0.5:
                 extra = [rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)]
-            coords = nature.breakpoint_coords(lsa, extra=extra)
+                coords = [np.unique(np.concatenate([c, e]))
+                          for c, e in zip(coords, extra)]
             assert np.prod([len(c) for c in coords]) <= 15 ** 3
             t = nature.lower_revenue_table(lsa, coords)
             value, dist, cert = nature.worst_case_lp(coords, t, inst)

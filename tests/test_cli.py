@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import maxmin_auction as ma
 from maxmin_auction.cli import run
 
 
@@ -83,6 +84,21 @@ class TestEvaluate:
         assert json.loads(out)["guarantee"] == pytest.approx(0.0375, abs=1e-6)
 
 
+    @pytest.mark.parametrize("mech, guarantee", [
+        ({"type": "lsa", "alphas": [2 / 3, 2 / 3], "betas": [5 / 3, 5 / 3]},
+         0.32),
+        ({"type": "lsa", "alphas": [2 / 3, 0.0], "betas": [5 / 3, 1.0],
+          "excluded": [False, True]}, 0.16),
+    ], ids=["all-included", "excluded"])
+    def test_lsa_mechanism(self, inst64, tmp_path, capsys, mech, guarantee):
+        # the corner-hitting auctions with reserves (0.4, 0.4) and (0.4, 1)
+        path = write(tmp_path, "m.json", mech)
+        code, out, _ = run_capture(capsys, ["evaluate", inst64, path])
+        assert code == 0
+        assert json.loads(out)["guarantee"] == pytest.approx(guarantee,
+                                                             abs=1e-9)
+
+
 class TestWorstCase:
     def test_type_ii(self, tmp_path, capsys):
         inst = write(tmp_path, "i.json",
@@ -103,6 +119,21 @@ class TestImprove:
         code, out, _ = run_capture(capsys, ["improve", inst64, mech])
         assert code == 0
         data = json.loads(out)
+        assert data["guarantee"] >= data["audit"]["input_guarantee"] - 1e-6
+
+    def test_unequal_bounds_fall_back_to_the_grid_lp(self, tmp_path, capsys):
+        # the multiplier LP needs equal bounds; the grid LP prices the output
+        inst = write(tmp_path, "i.json",
+                     {"n": 2, "vmax": [1.0, 0.8], "means": [0.5, 0.4]})
+        mech = write(tmp_path, "m.json",
+                     {"type": "corner_hitting", "reserves": [0.3, 0.3]})
+        code, out, _ = run_capture(capsys, ["improve", inst, mech])
+        assert code == 0
+        data = json.loads(out)
+        instance = ma.Instance(2, [0.5, 0.4], [1.0, 0.8])
+        lsa = ma.corner_hitting(data["reserves"], instance.vmax)
+        assert data["guarantee"] == \
+            ma.mechanism_guarantee(lsa, instance)[0]
         assert data["guarantee"] >= data["audit"]["input_guarantee"] - 1e-6
 
 
@@ -226,3 +257,29 @@ class TestErrors:
         code, out, err = run_capture(capsys, [command, inst, mech])
         assert code == 1 and out == ""
         assert "vmax" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("instance", [
+        [1, 2], "x", {"n": None, "vmax": [1, 1], "means": [0.5, 0.5]},
+        {"n": [2], "vmax": [1, 1], "means": [0.5, 0.5]},
+        {"n": 2.9, "vmax": [1, 1], "means": [0.5, 0.5]},
+        {"n": "2", "vmax": [1, 1], "means": [0.5, 0.5]},
+        {"n": 2, "vmax": [1, 1], "means": {"a": 0.5}},
+    ], ids=["list", "string", "null-n", "list-n", "float-n", "string-n",
+            "object-means"])
+    def test_mistyped_instance_is_exit_1(self, tmp_path, capsys, instance):
+        path = write(tmp_path, "i.json", instance)
+        code, out, err = run_capture(capsys, ["optimal", path])
+        assert code == 1 and out == ""
+        assert "instance file" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("mechanism", [
+        [1, 2],
+        {"type": "grid", "coords": 5, "thresholds": [[0.5, 0.5]] * 2},
+        {"type": "lsa", "alphas": [0.5, 0.5], "betas": [1, 1], "excluded": 5},
+    ], ids=["list", "number-coords", "number-excluded"])
+    def test_mistyped_mechanism_is_exit_1(self, inst64, tmp_path, capsys,
+                                          mechanism):
+        path = write(tmp_path, "m.json", mechanism)
+        code, out, err = run_capture(capsys, ["evaluate", inst64, path])
+        assert code == 1 and out == ""
+        assert "mechanism file" in json.loads(err)["error"]

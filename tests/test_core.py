@@ -103,6 +103,10 @@ class TestAllocate:
         lsa = ma.corner_hitting([1.0, 1.0], [1.0, 1.0])
         assert lsa.allocate([0.5, 0.9]) is None
 
+    def test_grid_no_sale(self):
+        gm = ma.grid_from_lsa(lsa_04(), [np.array([0.0, 0.4, 1.0])] * 2)
+        assert gm.allocate([0.3, 0.35]) is None
+
 
 class TestThreshold:
     def test_through_top_corner(self):

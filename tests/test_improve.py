@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -165,7 +166,8 @@ class TestLeastFixedPoint:
 class TestLagrangianOnGrid:
     def test_optimal_lsa_value(self):
         gm = lsa_grid([0.4, 0.4])
-        val = ma.lagrangian_on_grid(gm, [2 / 3, 2 / 3], INST64)
+        val = ma.lagrangian_on_grid(gm, [2 / 3, 2 / 3], INST64,
+                                    nature.breakpoint_coords(gm))
         assert val == pytest.approx(0.32, abs=1e-12)
 
     def test_minorant_dominates_original(self):
@@ -180,32 +182,103 @@ class TestLagrangianOnGrid:
 
     def test_zero_multipliers(self):
         gm = lsa_grid([0.4, 0.4])
-        val = ma.lagrangian_on_grid(gm, [0.0, 0.0], INST64)
+        val = ma.lagrangian_on_grid(gm, [0.0, 0.0], INST64,
+                                    nature.breakpoint_coords(gm))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_tuple_evaluates(self):
         gm = ma.GridMechanism([[0.0, 1.0], [0.0, 1.0]],
                               [np.array([0.2, 0.2]), np.array([0.3, 0.3])])
-        val = ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64)
+        val = ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64,
+                                    nature.breakpoint_coords(gm))
         assert np.isfinite(val)
 
     def test_bound_mismatch_raises(self):
+        gm = example1_mechanism()
         with pytest.raises(DomainError, match="vmax"):
-            ma.lagrangian_on_grid(example1_mechanism(), [0.5, 0.5],
-                                  ma.Instance(2, [0.5, 0.5], 2.0))
+            ma.lagrangian_on_grid(gm, [0.5, 0.5],
+                                  ma.Instance(2, [0.5, 0.5], 2.0), gm.coords)
 
     def test_bidder_count_mismatch_raises(self):
+        gm = example1_mechanism()
         with pytest.raises(DomainError, match="n=2"):
-            ma.lagrangian_on_grid(example1_mechanism(), [0.5] * 3,
-                                  ma.Instance(3, [0.5] * 3, 1.0))
+            ma.lagrangian_on_grid(gm, [0.5] * 3,
+                                  ma.Instance(3, [0.5] * 3, 1.0), gm.coords)
 
     @pytest.mark.parametrize("lam", [[0.5], [0.5] * 3])
     def test_multiplier_count_mismatch_raises(self, lam):
+        gm = example1_mechanism()
         with pytest.raises(DomainError, match="multipliers"):
-            ma.lagrangian_on_grid(example1_mechanism(), lam, INST64)
+            ma.lagrangian_on_grid(gm, lam, INST64, gm.coords)
+
+
+# Score auctions from the improve benchmark (seed 5 input 220, seed 23 input
+# 129) whose Nature LP returns a multiplier of exactly 0.0.  Keeping such a
+# bidder broke the audit chain (R(p^, lam) = 0.011 against R(p~, lam) =
+# 0.041, and -0.310 against 0.135), while -8e-17 priced her out cleanly.
+ZERO_MULTIPLIER_INPUTS = [("""
+{"n": 2, "means": [0.15883434787732642, 0.3834182689558443],
+ "vmax": [1.0, 1.0]}""", """
+{"type": "grid",
+ "coords": [[0.0, 0.31447307043300365, 0.3930638292288629,
+             0.8697727930442201, 0.9069285837068504, 1.0],
+            [0.0, 0.031597352042771365, 0.15352310833718097,
+             0.2774362839587153, 1.0]],
+ "thresholds": [[0.31447307043300365, 0.31447307043300365,
+                 0.31447307043300365, 0.31447307043300365, 1.0],
+                [0.2774362839587153, 0.2774362839587153, 0.3538273759716538,
+                 0.4457897972702884, 0.4529575594353903,
+                 0.47091206301239125]]}"""), ("""
+{"n": 3, "means": [0.08467494496412245, 0.19896499004335028,
+                   0.6275871120291019], "vmax": [1.0, 1.0, 1.0]}""", """
+{"type": "grid",
+ "coords": [[0.0, 0.2004105870952982, 0.649663491293469, 0.7588315626266043,
+             1.0],
+            [0.0, 0.09223572595614149, 0.18334707196036926, 1.0],
+            [0.0, 0.07765851131030455, 0.3175236698178726, 0.4839348168323956,
+             1.0]],
+ "thresholds": [
+  [[0.2004105870952982, 0.2004105870952982, 0.2004105870952982,
+    0.2004105870952982, 0.9002505356721503],
+   [0.2004105870952982, 0.2004105870952982, 0.2004105870952982,
+    0.2004105870952982, 0.9002505356721503],
+   [0.2004105870952982, 0.2004105870952982, 0.2004105870952982,
+    0.2004105870952982, 0.9002505356721503],
+   [1.0, 1.0, 1.0, 1.0, 1.0]],
+  [[0.18334707196036926, 0.18334707196036926, 0.18334707196036926,
+    0.18334707196036926, 0.7802756931998628],
+   [0.18334707196036926, 0.18334707196036926, 0.18334707196036926,
+    0.18334707196036926, 0.7802756931998628],
+   [0.4819007865998046, 0.4819007865998046, 0.4819007865998046,
+    0.4819007865998046, 0.7802756931998628],
+   [0.5544490838104853, 0.5544490838104853, 0.5544490838104853,
+    0.5544490838104853, 0.7802756931998628],
+   [0.9395618401181417, 0.9395618401181417, 0.9395618401181417,
+    0.9395618401181417, 0.9395618401181417]],
+  [[0.4839348168323956, 0.4839348168323956, 0.4839348168323956, 1.0],
+   [0.4839348168323956, 0.4839348168323956, 0.4839348168323956, 1.0],
+   [0.7420447012451138, 0.7420447012451138, 0.7420447012451138, 1.0],
+   [0.8047651823150048, 0.8047651823150048, 0.8047651823150048, 1.0],
+   [1.0, 1.0, 1.0, 1.0]]]}""")]
 
 
 class TestDominatingLsa:
+    @pytest.mark.parametrize("instance, mechanism", ZERO_MULTIPLIER_INPUTS,
+                             ids=["n2", "n3"])
+    def test_zero_multiplier_is_priced_out(self, instance, mechanism):
+        data, mech = json.loads(instance), json.loads(mechanism)
+        inst = ma.Instance(data["n"], data["means"], data["vmax"])
+        gm = ma.GridMechanism(mech["coords"], mech["thresholds"])
+        out, audit = ma.dominating_lsa(gm, inst)
+        zero = audit.lambda_raw == 0.0
+        assert zero.any()
+        assert np.all(audit.lam[zero] == 0.0)
+        assert audit.value_minorant >= audit.value_input - 1e-9
+        assert audit.value_output >= audit.value_minorant - 1e-9
+        r = [out.reserve(i) for i in range(inst.n)]
+        value, _ = ma.lsa_guarantee(r, inst)
+        assert value >= audit.input_guarantee - 1e-6
+
     def test_optimal_lsa_is_self_map(self):
         out, audit = ma.dominating_lsa(lsa_grid([0.4, 0.4]), INST64)
         assert [out.reserve(i) for i in range(2)] == pytest.approx([0.4, 0.4])

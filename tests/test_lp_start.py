@@ -562,8 +562,8 @@ class TestIdentityStart:
                 solve_lp(c, A, b, start=start).value, abs=1e-12), k
 
     def test_negative_rhs_makes_slack_start_infeasible(self):
-        # the sign flip turns the second slack column into -e_2, so the
-        # start is no longer the identity and x_B = -4 < 0
+        # x_B[1] = -4 < 0 whether or not the second row is negated first
+        # (the reference still negates it, which makes the start's column -e_2)
         A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
         c = np.array([-1.0, -2.0, 0.0, 0.0])
         b = np.array([6.0, -4.0])

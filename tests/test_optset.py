@@ -5,6 +5,7 @@ import maxmin_auction as ma
 from generators import sample_near_miss, sample_optimal_member
 from maxmin_auction import nature
 from maxmin_auction.errors import DomainError
+from maxmin_auction.optset import Violation
 
 INST_LOW = ma.Instance(2, [0.64, 0.64], 1.0)
 INST_HIGH = ma.Instance(2, [0.75, 0.91], 1.0)
@@ -57,6 +58,26 @@ class TestMember:
         assert not ok
         value, *_ = nature.mechanism_guarantee(gm, INST_HIGH)
         assert value < 0.7 - 1e-4
+
+    def test_threshold_drop_above_reserve_is_condition_3(self):
+        c = [0.0, 0.4, 0.7, 1.0]
+        gm = ma.GridMechanism([c, c], [[0.4, 0.4, 0.9, 0.8],
+                                       [0.4, 0.4, 0.7, 1.0]])
+        ok, violations = ma.member(gm, INST_LOW)
+        assert not ok
+        assert Violation(3, 0, 1.0, 0.8, 0.9) in violations
+
+    def test_thresholds_that_do_not_invert_are_condition_4(self):
+        # both thresholds clear the envelope and rise above the reserves,
+        # but p_0(v_1) = v_1 there while p_1(v_0) = 0.4 + 1.5 (v_0 - 0.4)
+        # on [0.4, 0.7]: they do not invert each other
+        gm = ma.GridMechanism([[0.0, 0.4, 0.7, 1.0], [0.0, 0.4, 1.0]],
+                              [[0.4, 0.4, 1.0], [0.4, 0.4, 0.85, 1.0]])
+        assert ma.check_feasible(gm) is None
+        ok, violations = ma.member(gm, INST_LOW)
+        assert not ok
+        assert {v.condition for v in violations} == {4}
+        assert {v.bidder for v in violations} == {0, 1}
 
     def test_requires_two_bidders(self):
         inst = ma.Instance(3, [0.5, 0.5, 0.5], 1.0)

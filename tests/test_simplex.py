@@ -47,8 +47,9 @@ def test_unbounded():
         solve_lp(np.array([-1.0, 0.0]), A, b, start=[0])
 
 
-def test_negative_rhs_rows_are_flipped():
-    # same LP as test_known_optimum with the first row negated
+def test_negative_rhs_from_a_non_identity_start():
+    # same LP as test_known_optimum with the first row negated: the start's
+    # basis is diag(-1, 1), so x_B = B^-1 b = (4, 6) is feasible as it stands
     c = np.array([-1.0, -2.0, 0.0, 0.0])
     A = np.array([[-1.0, -1.0, -1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
     b = np.array([-4.0, 6.0])
