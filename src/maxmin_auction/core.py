@@ -267,12 +267,7 @@ class GridMechanism:
                 return i
         return None
 
-    def payment(self, v: Sequence[float]) -> np.ndarray:
-        t = np.zeros(self.n)
-        winner = self.allocate(v)
-        if winner is not None:
-            t[winner] = self.threshold(winner, drop(v, winner))
-        return t
+    payment = LinearScoreAuction.payment
 
     def tables(self, coords) -> list[np.ndarray]:
         """p_i on the product of bidder i's rival coordinate lists, each i;

@@ -74,9 +74,10 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
 
     For affine-score mechanisms the induced threshold values are closed under
     a few rounds of re-tabulation, which is what makes the grid LP exact.
-    A ``step`` adds a uniform grid; it must be finite and positive, and
-    raises ``SizeError`` when that grid alone would have more than
-    ``MAX_STEP_NODES`` nodes.
+    A ``step`` refines that closed grid with a uniform one, merged once after
+    the closure, so every breakpoint stays; it must be finite and positive,
+    and raises ``SizeError`` when the uniform grid alone would have more
+    than ``MAX_STEP_NODES`` nodes.
     """
     n, vmax = mech.n, mech.vmax
     if step is not None:
@@ -102,12 +103,8 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
         seeds = [[*mech.coords[i], *(point[i] for point in corners)]
                  for i in range(n)]
     tol = 1e-12 * max(1.0, max(vmax))
-    coords = []
-    for i in range(n):
-        base = [0.0, vmax[i], *seeds[i]]
-        if step is not None:
-            base.extend(np.arange(0.0, vmax[i] + step / 2, step))
-        coords.append(dedup_sorted(base, tol, snap=(0.0, vmax[i])))
+    coords = [dedup_sorted([0.0, vmax[i], *seeds[i]], tol, snap=(0.0, vmax[i]))
+              for i in range(n)]
     for _ in range(rounds):
         grew = False
         induced = mech.tables(coords)        # before any axis grows this round
@@ -121,6 +118,10 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
             coords[i] = merged
         if not grew:
             break
+    if step is not None:
+        coords = [dedup_sorted(np.concatenate(
+            [c, np.arange(0.0, vmax[i] + step / 2, step)]), tol,
+            snap=(0.0, vmax[i])) for i, c in enumerate(coords)]
     return coords
 
 
@@ -342,8 +343,10 @@ def _no_sale_limits_2d(mech: GridMechanism, value_grids, tables,
     x_dn, x_up = x > tol, x < mech.vmax[0] - tol
     y_dn, y_up = y > tol, y < mech.vmax[1] - tol
     stol = 1e-9
-    only1 = x_dn | (y_up & (g1p > stol)) | (y_dn & (g1m < -stol))
-    only2 = y_dn | (x_up & (g2p > stol)) | (x_dn & (g2m < -stol))
+    # One threshold binds: a limit wherever that bidder's value can fall.
+    # Where it cannot, her value and threshold are both within tol of 0,
+    # so the entry is within 2 tol of 0 either way.
+    only1, only2 = x_dn, y_dn
     # Both thresholds bind: a direction (dx, dy) must strictly undercut both.
     both = ((x_dn & (g2m < -stol)) | (y_dn & (g1m < -stol))
             | (x_dn & y_dn & ((g1m <= stol) | (g2m <= stol)

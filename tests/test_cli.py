@@ -3,6 +3,7 @@ import json
 import pytest
 
 import maxmin_auction as ma
+from maxmin_auction import cli
 from maxmin_auction.cli import run
 
 
@@ -183,6 +184,25 @@ class TestPlotData:
         lines = out.strip().splitlines()
         assert lines[0] == "m1,m2,regime,weakly_excluded"
         assert len(lines) == 49 * 49 + 1
+
+
+class TestParser:
+    def test_run_reuses_one_parser(self, inst64, tmp_path, capsys,
+                                   monkeypatch):
+        """``run`` parses with the parser built at import: it never builds
+        one, and repeated runs in one process print the same."""
+        def build_parser():
+            raise AssertionError("run built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        ch = write(tmp_path, "ch.json",
+                   {"type": "corner_hitting", "reserves": [0.3, 0.45]})
+        grid = write(tmp_path, "grid.json", GRID_2)
+        for argv in (["improve", inst64, ch], ["improve", inst64, grid],
+                     ["evaluate", inst64, grid, "--grid-step", "0.01"]):
+            first = run_capture(capsys, argv)
+            assert first[0] == 0
+            assert run_capture(capsys, argv) == first
 
 
 class TestErrors:

@@ -105,16 +105,14 @@ class TestWorstCaseLP:
                 fine, nature.lower_revenue_table(lsa, fine), inst)
             assert v_fine <= v_coarse + 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: past the per-axis "
-                       "cap a step grid keeps its step points and drops the "
-                       "induced breakpoints")
     def test_fine_step_does_not_raise_the_guarantee(self):
-        """ROADMAP item 2.  A step-0.002 grid has about 500 points per axis,
-        past the cap of 40, so its closure rounds are dropped and Nature
-        loses the breakpoints the default grid gives her.  Seed 7, pair 43
-        of (random_instance, random_feasible_mechanism): default 0.16942,
-        step 0.002 gives 0.16967, and the step grid with the default grid
-        merged in gives the default value back."""
+        """A step-0.002 grid has about 500 points per axis, past the
+        per-axis cap of 40 for a two-bidder grid mechanism.  The step points
+        are merged after the closure rounds, so the cap never drops the
+        breakpoints the default grid gives Nature.  Seed 7, pair 43 of
+        (random_instance, random_feasible_mechanism): the default grid gives
+        0.16942; with the step points in the closure rounds the step grid
+        gave 0.16967."""
         rng = np.random.default_rng(7)
         for _ in range(44):
             inst = random_instance(rng, n=2)
@@ -159,6 +157,42 @@ class TestBruteForce:
 
 
 class TestGridStep:
+    @pytest.mark.parametrize("n, steps", [(2, (0.05, 0.01, 0.002)),
+                                          (3, (0.05, 0.01))])
+    def test_step_refines_the_default_grid(self, n, steps):
+        """A step grid keeps every coordinate of the default grid, so
+        Nature's value on it is never above the default one.  Grid
+        mechanisms and LSAs from the generators; the two-bidder run covers
+        seed 7's pair 43 (above).  At n = 3 a 0.002 step asks for 501^3
+        nodes, past ``MAX_STEP_NODES``."""
+        rng, lsa_rng = np.random.default_rng(7), np.random.default_rng(8)
+        for _ in range(44 if n == 2 else 12):
+            inst = random_instance(rng, n=n)
+            for mech in (random_feasible_mechanism(rng, n),
+                         random_corner_lsa(lsa_rng, inst)):
+                default, _, _, coarse = nature.mechanism_guarantee(mech, inst)
+                for step in steps:
+                    fine = nature.breakpoint_coords(mech, step=step)
+                    for c, f in zip(coarse, fine):
+                        assert np.abs(c[:, None] - f).min(axis=1).max() \
+                            <= 1e-12
+                    value, *_ = nature.mechanism_guarantee(mech, inst,
+                                                           step=step)
+                    assert value <= default + 1e-9
+
+    @pytest.mark.parametrize("n, steps", [(2, (0.05, 0.01, 0.002)),
+                                          (3, (0.05, 0.01))])
+    def test_lsa_step_value_is_exact(self, rng, n, steps):
+        """On a step grid an LSA keeps its exact guarantee."""
+        for _ in range(8):
+            inst = random_instance(rng, n=n)
+            lsa = random_corner_lsa(rng, inst)
+            exact, _ = ma.lsa_guarantee([lsa.reserve(i) for i in range(n)],
+                                        inst)
+            for step in steps:
+                value, *_ = nature.mechanism_guarantee(lsa, inst, step=step)
+                assert value == pytest.approx(exact, abs=1e-9)
+
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_step_must_be_finite_and_positive(self, step):
         with pytest.raises(DomainError, match="grid step"):
