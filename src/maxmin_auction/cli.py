@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core, dual, improve, nature, optset, solve
 from .core import GridMechanism, Instance, LinearScoreAuction, corner_hitting
-from .errors import DomainError
+from .errors import DomainError, FeasibilityError
 
 
 def _fmt(obj) -> str:
@@ -70,6 +70,14 @@ def _parse_mechanism(data, instance: Instance):
     raise DomainError(f"unknown mechanism type {kind!r}")
 
 
+def _feasible(mech):
+    """The mechanism, unless it is a grid mechanism with two strict winners."""
+    bad = isinstance(mech, GridMechanism) and core.check_feasible(mech)
+    if bad:
+        raise FeasibilityError(f"supply violated at {bad.values}")
+    return mech
+
+
 def _as_grid(mech) -> GridMechanism:
     if isinstance(mech, GridMechanism):
         return mech
@@ -109,7 +117,7 @@ def cmd_optimal(args) -> dict:
 
 def cmd_evaluate(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _parse_mechanism(_load_json(args.mechanism), instance)
+    mech = _feasible(_parse_mechanism(_load_json(args.mechanism), instance))
     step = args.grid_step
     if step is None and isinstance(mech, GridMechanism):
         step = 0.05 * min(instance.vmax)
@@ -164,8 +172,8 @@ def cmd_improve(args) -> dict:
 
 def cmd_member(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance))
-    ok, violations = optset.member(mech, instance)
+    mech = _parse_mechanism(_load_json(args.mechanism), instance)
+    ok, violations = optset.member(_as_grid(_feasible(mech)), instance)
     return {
         "member": ok,
         "violations": [{

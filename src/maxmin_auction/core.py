@@ -274,14 +274,11 @@ class GridMechanism:
         ``np.interp`` for one rival, multilinear interpolation for more."""
         out = []
         for i, t in enumerate(self.thresholds):
-            rivals = [j for j in range(self.n) if j != i]
-            axes = [coords[j] for j in rivals]
-            if len(rivals) == 1:
-                out.append(np.interp(axes[0], self.coords[rivals[0]], t))
+            if self.n == 2:
+                out.append(np.interp(coords[1 - i], self.coords[1 - i], t))
             else:
-                out.append(_multilinear_batch(
-                    t, [self.coords[j] for j in rivals], grid_nodes(axes)
-                ).reshape(tuple(len(a) for a in axes)))
+                out.append(_multilinear_grid(t, [
+                    (self.coords[j], a) for j, a in rival_axes(coords, i)]))
         return out
 
 
@@ -302,24 +299,22 @@ def rival_axes(coords, i: int) -> list[tuple[int, np.ndarray]]:
         for d, j in enumerate(rivals)]
 
 
-def _multilinear_batch(table: np.ndarray, axes: list[np.ndarray],
-                       points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of ``table`` at many points at once."""
-    pts = np.atleast_2d(points)
-    idx, weights = [], []
-    for k, c in enumerate(axes):
-        x = np.clip(pts[:, k], c[0], c[-1])
-        j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
-        idx.append(j)
-        weights.append((x - c[j]) / (c[j + 1] - c[j]))
-    out = np.zeros(pts.shape[0])
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = np.ones(pts.shape[0])
-        sel = []
-        for k, bit in enumerate(corner):
-            w = w * (weights[k] if bit else 1.0 - weights[k])
-            sel.append(idx[k] + bit)
-        out += w * table[tuple(sel)]
+def _multilinear_grid(table: np.ndarray, axes) -> np.ndarray:
+    """Multilinear interpolation of ``table`` at every node of a product
+    grid.  ``axes`` pairs each table axis's coordinate list with the grid's
+    points on it, shaped to run along that axis (as :func:`rival_axes`
+    shapes them): each list is located once and the 2^d corner terms
+    broadcast, in :func:`multilinear`'s arithmetic order (same bits)."""
+    cells = []
+    for c, x in axes:
+        x = np.clip(x, c[0], c[-1])
+        k = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+        w = (x - c[k]) / (c[k + 1] - c[k])
+        cells.append(((k, 1.0 - w), (k + 1, w)))
+    out = 0.0
+    for corner in itertools.product(*cells):
+        ks, ws = zip(*corner)
+        out = out + math.prod(ws) * table[ks]
     return out
 
 
@@ -333,7 +328,7 @@ def locate(c: Sequence[float], x: float) -> tuple[int, float]:
 def multilinear(flat: Sequence[float], shape: Sequence[int],
                 cells: list[tuple[int, float]]) -> float:
     """Interpolate a C-order flattened table of ``shape`` at :func:`locate`'s
-    ``cells``, in :func:`_multilinear_batch`'s arithmetic order (same bits)."""
+    ``cells``, in :func:`_multilinear_grid`'s arithmetic order (same bits)."""
     ws, pos = [1.0], [0]
     for (k, w), size in zip(cells, shape):
         ws = [a * b for a in ws for b in (1.0 - w, w)]

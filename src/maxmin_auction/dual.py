@@ -88,7 +88,7 @@ def _guarantee_lp(wall_A, wall_b: list, r: np.ndarray, vmax,
     c[n] = -1.0
     c[n + 1] = 1.0
     res = solve_lp(c, A, b, start=np.arange(n + 2, ncols))
-    return -res.value, res.x[:n].copy()
+    return 0.0 - res.value, res.x[:n].copy()      # +0.0, never -0.0
 
 
 def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:

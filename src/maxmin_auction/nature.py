@@ -74,6 +74,11 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
 
     For affine-score mechanisms the induced threshold values are closed under
     a few rounds of re-tabulation, which is what makes the grid LP exact.
+    A two-bidder grid mechanism takes one round: its p_i are piecewise
+    linear with kinks at the rival's coords, and a feasible mechanism's win
+    regions meet the other curve only where the curves coincide, so every
+    vertex of a piece on which revenue is affine is a product of coords,
+    induced thresholds p_i(c) and curve crossings (no inverse images).
     A ``step`` refines that closed grid with a uniform one, merged once after
     the closure, so every breakpoint stays; it must be finite and positive,
     and raises ``SizeError`` when the uniform grid alone would have more
@@ -92,14 +97,13 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     if isinstance(mech, LinearScoreAuction):
         rounds, max_per_axis = 6, MAX_PER_AXIS
         seeds = [[mech.reserve(i)] for i in range(n)]
-    else:
-        rounds, max_per_axis = 3, (40 if n == 2 else 24)
-        # Corners of the no-sale region sit where threshold surfaces meet:
-        # crossings (two bidders) and fixed points of the clamped threshold
-        # map with any subset of coordinates pinned at zero.
-        corners = _map_corner_points(mech)
-        if n == 2:
-            corners.extend(_threshold_crossings_2d(mech))
+    else:                      # the coords and the no-sale region's corners:
+        if n == 2:             # where the two threshold curves cross
+            rounds, max_per_axis = 1, math.inf
+            corners = _threshold_crossings_2d(mech)
+        else:                  # fixed points of the pinned, clamped map
+            rounds, max_per_axis = 3, 24
+            corners = _map_corner_points(mech)
         seeds = [[*mech.coords[i], *(point[i] for point in corners)]
                  for i in range(n)]
     tol = 1e-12 * max(1.0, max(vmax))
@@ -126,7 +130,8 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
 
 
 def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
-    """Extremal fixed points of v -> p(v) with coordinates pinned at zero.
+    """Extremal fixed points of v -> p(v) with coordinates pinned at zero,
+    the no-sale corners of an n >= 3 grid mechanism's breakpoint grid.
 
     For monotone thresholds the iterations from the bottom and the top of the
     box approach the least and greatest fixed points of each pinned map;
@@ -204,10 +209,7 @@ def _cell_fixed_point(coords, tables, vmax, free, key, v, top: bool,
     ks, pattern = key
     solve = [i for i, p in zip(free, pattern) if p == 1]
     x = list(v)                      # pinned and clamped entries are exact
-    if len(x) == 2 and len(solve) == 2:
-        x = _crossing_2d(coords[0], coords[1], tables[0][0], tables[1][0],
-                         *ks)
-    elif solve:
+    if solve:
         x = _newton_in_cell(coords, tables, ks, x, solve, tol)
     if x is None:
         return None

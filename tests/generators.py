@@ -1,4 +1,5 @@
-"""Random problem generators shared across the test modules."""
+"""Random problem generators and a reference interpolator shared across the
+test modules."""
 
 from __future__ import annotations
 
@@ -175,3 +176,25 @@ def sample_near_miss(rng, instance):
     r[which] = float(np.clip(r[which] + delta, 0.02, 0.95))
     lsa = ma.corner_hitting(r, instance.vmax)
     return ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+
+
+def multilinear_batch(table, axes, points):
+    """Multilinear interpolation of ``table`` at many points at once: the
+    library's batch interpolator before it went axis-wise, kept as the
+    reference whose bits ``GridMechanism.tables`` must match."""
+    pts = np.atleast_2d(points)
+    idx, weights = [], []
+    for k, c in enumerate(axes):
+        x = np.clip(pts[:, k], c[0], c[-1])
+        j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+        idx.append(j)
+        weights.append((x - c[j]) / (c[j + 1] - c[j]))
+    out = np.zeros(pts.shape[0])
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = np.ones(pts.shape[0])
+        sel = []
+        for k, bit in enumerate(corner):
+            w = w * (weights[k] if bit else 1.0 - weights[k])
+            sel.append(idx[k] + bit)
+        out += w * table[tuple(sel)]
+    return out

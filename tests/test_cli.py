@@ -21,6 +21,9 @@ def inst64(tmp_path):
 
 GRID_2 = {"type": "grid", "coords": [[0.0, 0.2, 0.5, 1.0]] * 2,
           "thresholds": [[1.0] * 4, [0.2, 0.26, 0.35, 0.5]]}
+# two bidders win strictly at (1, 1)
+INFEASIBLE_GRID = {"type": "grid", "coords": [[0, 0.5, 1], [0, 1]],
+                   "thresholds": [[0.5, 0.6], [0.2, 0.3, 0.4]]}
 
 
 def run_capture(capsys, argv):
@@ -138,7 +141,24 @@ class TestImprove:
         assert data["guarantee"] >= data["audit"]["input_guarantee"] - 1e-6
 
 
+    def test_never_sell_output_prints_positive_zero(self, tmp_path, capsys):
+        inst = write(tmp_path, "i.json",
+                     {"n": 3, "vmax": [1, 1, 1], "means": [0.5, 0.5, 0.5]})
+        mech = write(tmp_path, "m.json", {"type": "corner_hitting",
+                                          "reserves": [0.3, 0.4, 0.5]})
+        code, out, _ = run_capture(capsys, ["improve", inst, mech])
+        assert code == 0
+        assert json.loads(out)["reserves"] == [1, 1, 1]
+        assert '"guarantee":0,' in out
+
+
 class TestMember:
+    def test_grid_mechanism(self, inst64, tmp_path, capsys):
+        mech = write(tmp_path, "m.json", GRID_2)
+        code, out, _ = run_capture(capsys, ["member", inst64, mech])
+        assert code == 0
+        assert json.loads(out)["member"] is False
+
     def test_member_verdicts(self, inst64, tmp_path, capsys):
         good = write(tmp_path, "g.json",
                      {"type": "corner_hitting", "reserves": [0.4, 0.4]})
@@ -245,6 +265,15 @@ class TestErrors:
         code, out, err = run_capture(capsys, [command, inst, mech])
         assert code == 1 and out == ""
         assert "n=2" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "improve", "member"])
+    def test_infeasible_grid_is_exit_1(self, tmp_path, capsys, command):
+        inst = write(tmp_path, "i.json",
+                     {"n": 2, "vmax": [1, 1], "means": [0.5, 0.5]})
+        mech = write(tmp_path, "m.json", INFEASIBLE_GRID)
+        code, out, err = run_capture(capsys, [command, inst, mech])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "supply violated at (1.0, 1.0)"
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
     def test_bad_grid_step_is_exit_1(self, inst64, tmp_path, capsys, step):

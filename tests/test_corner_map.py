@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import random_excluded_mechanism, random_score_auction
-from maxmin_auction import core, nature
+from generators import (multilinear_batch, random_excluded_mechanism,
+                        random_feasible_mechanism, random_instance,
+                        random_score_auction, sample_near_miss,
+                        sample_optimal_member)
+from maxmin_auction import nature
 
 
 def reference_multilinear(table, axes, point):
@@ -64,7 +67,7 @@ def reference_corner_points(mech, max_iter=200):
         new = V[rows].copy()
         for i in range(n):
             rivals = [j for j in range(n) if j != i]
-            vals = core._multilinear_batch(
+            vals = multilinear_batch(
                 mech.thresholds[i], [mech.coords[j] for j in rivals],
                 V[np.ix_(rows, rivals)])
             new[:, i] = np.clip(vals, 0.0, vmax[i])
@@ -77,7 +80,8 @@ def reference_corner_points(mech, max_iter=200):
 
 def reference_breakpoint_coords(mech, max_per_axis=200, corners=None):
     """Grid-mechanism breakpoint coords, merging corners (the reference
-    loop's unless given) one point and one axis at a time."""
+    loop's unless given) one point and one axis at a time.  At n = 2 this is
+    the corner-map grid two-bidder mechanisms took before the one-pass set."""
     n, vmax = mech.n, mech.vmax
     max_per_axis = min(max_per_axis, 40 if n == 2 else 24)
     tol = 1e-12 * max(1.0, max(vmax))
@@ -127,6 +131,18 @@ def mechanisms():
 MECHANISMS = mechanisms()
 
 
+def corner_cases():
+    """MECHANISMS with its two-bidder score auctions, whose breakpoint grids
+    no longer come from the corner map, replaced by n = 3 and n = 4 ones."""
+    rng = np.random.default_rng(2010)
+    return ([("score3", random_score_auction(rng, 3)) for _ in range(6)]
+            + [("score4", random_score_auction(rng, 4)) for _ in range(6)]
+            + MECHANISMS[12:])
+
+
+CORNER_CASES = corner_cases()
+
+
 def capped_mechanism():
     """A score auction whose reference loop leaves starts at the step cap."""
     rng = np.random.default_rng(7)
@@ -166,8 +182,8 @@ def pinned_map_residuals(mech, corners):
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind, mech", MECHANISMS,
-                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(MECHANISMS)])
+@pytest.mark.parametrize("kind, mech", CORNER_CASES, ids=[
+    f"{k}-{i}" for i, (k, _) in enumerate(CORNER_CASES)])
 def test_corner_points_and_coords_match_reference(kind, mech):
     ref, moving = reference_corner_points(mech)
     corners = nature._map_corner_points(mech)
@@ -186,6 +202,48 @@ def test_corner_points_and_coords_match_reference(kind, mech):
     assert len(new) == len(old)
     for a, b in zip(new, old):
         assert np.array_equal(a, b)
+
+
+def two_bidder_pairs():
+    """Instances with the generators' two-bidder grid mechanisms: score
+    auctions, tabulated auctions and excluded bidders (the feasible mix),
+    optimal-set members and near misses."""
+    rng = np.random.default_rng(2012)
+    out = []
+    for _ in range(12):
+        inst = random_instance(rng, n=2)
+        out += [(inst, random_feasible_mechanism(rng, 2)) for _ in range(3)]
+        out += [(inst, sample_optimal_member(rng, inst)),
+                (inst, sample_near_miss(rng, inst))]
+    return out
+
+
+TWO_BIDDER = two_bidder_pairs()
+
+
+def test_two_bidder_value_matches_the_corner_map_grid():
+    """A two-bidder grid mechanism takes the one-pass breakpoint set; Nature's
+    value on it equals the value on the grid that the corner map and three
+    capped closure rounds build, within 1e-9."""
+    for inst, mech in TWO_BIDDER:
+        value, *_ = nature.mechanism_guarantee(mech, inst)
+        coords = reference_breakpoint_coords(
+            mech, corners=nature._map_corner_points(mech))
+        ref, *_ = nature.worst_case_lp(
+            coords, nature.lower_revenue_table(mech, coords), inst)
+        assert value == pytest.approx(ref, abs=1e-9)
+
+
+def test_two_bidder_grids_skip_the_corner_map(monkeypatch):
+    def unreachable(mech):
+        raise AssertionError("corner map reached")
+
+    monkeypatch.setattr(nature, "_map_corner_points", unreachable)
+    for inst, mech in TWO_BIDDER:
+        nature.mechanism_guarantee(mech, inst)
+        nature.breakpoint_coords(mech, step=0.05)
+    with pytest.raises(AssertionError, match="corner map reached"):
+        nature.breakpoint_coords(CORNER_CASES[0][1])         # n = 3
 
 
 def test_capped_starts_reach_fixed_points():

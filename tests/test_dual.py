@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ class TestGuarantee:
         value, lam = ma.lsa_guarantee([0.3, 0.3], INST64)
         assert value == pytest.approx(2.04 / 7, abs=1e-9)
         assert lam == pytest.approx([3 / 7, 3 / 7], abs=1e-9)
+
+    def test_never_sell_guarantee_is_positive_zero(self):
+        # every reserve at the bound: the LP's value is zero, never -0.0
+        inst = ma.Instance(3, [0.5, 0.5, 0.5], 1.0)
+        value, _ = ma.lsa_guarantee([1.0, 1.0, 1.0], inst)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_certificate_soundness(self, rng):
         """Every nonnegative multiplier vector stays below the LP value."""

@@ -180,6 +180,17 @@ class TestGridStep:
                                                            step=step)
                     assert value <= default + 1e-9
 
+    def test_two_bidder_grid_value_is_exact(self):
+        """The one-pass two-bidder breakpoint set gives the value of a step
+        0.002 refinement, within 1e-9, on seed 7's 200 two-bidder pairs."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            inst = random_instance(rng, n=2)
+            mech = random_feasible_mechanism(rng, 2)
+            value, *_ = nature.mechanism_guarantee(mech, inst)
+            fine, *_ = nature.mechanism_guarantee(mech, inst, step=0.002)
+            assert value == pytest.approx(fine, abs=1e-9)
+
     @pytest.mark.parametrize("n, steps", [(2, (0.05, 0.01, 0.002)),
                                           (3, (0.05, 0.01))])
     def test_lsa_step_value_is_exact(self, rng, n, steps):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import (excluded_lsa, random_excluded_mechanism,
-                        random_score_auction, tabulated_auction)
-from maxmin_auction import core, nature
+from generators import (excluded_lsa, multilinear_batch,
+                        random_excluded_mechanism, random_score_auction,
+                        tabulated_auction)
+from maxmin_auction import nature
 from maxmin_auction.improve import AffineThresholds
 
 
@@ -64,7 +65,7 @@ def reference_threshold_tables(mech, coords):
             continue
         shape = tuple(len(a) for a in axes)
         rival = [j for j in range(n) if j != i]
-        vals = core._multilinear_batch(
+        vals = multilinear_batch(
             mech.thresholds[i], [mech.coords[j] for j in rival],
             nature.grid_nodes(axes))
         tables.append(vals.reshape(shape))
@@ -197,6 +198,27 @@ def test_grid_from_lsa_matches_reference(lsa):
     for coords in evaluation_grids(lsa):
         assert_same_tables(ma.grid_from_lsa(lsa, coords).thresholds,
                            reference_grid_from_lsa(lsa, coords))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_tables_match_pointwise_interpolation(n):
+    """Axis-wise tables equal interpolation node by node, bit for bit, on
+    rival coordinate lists that reach outside the mechanism's coords."""
+    rng = np.random.default_rng(2010 + n)
+    for mech in [random_score_auction(rng, n) for _ in range(3)] + [
+            tabulated_auction(rng, n)]:
+        coords = [np.unique(np.concatenate([c, rng.uniform(-0.3, 1.3, 4),
+                                            [-0.5, 1.5]]))
+                  for c in mech.coords]
+        tables = mech.tables(coords)
+        for i in range(n):
+            rivals = [j for j in range(n) if j != i]
+            nodes = nature.grid_nodes([coords[j] for j in rivals])
+            assert tables[i].shape == tuple(len(coords[j]) for j in rivals)
+            assert np.array_equal(tables[i].ravel(), [
+                mech.threshold(i, v) for v in nodes])
+            assert np.array_equal(tables[i].ravel(), multilinear_batch(
+                mech.thresholds[i], [mech.coords[j] for j in rivals], nodes))
 
 
 def sign_patterns(n):
