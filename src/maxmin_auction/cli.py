@@ -71,17 +71,11 @@ def _parse_mechanism(data, instance: Instance):
 
 
 def _feasible(mech):
-    """The mechanism, unless it is a grid mechanism with two strict winners."""
-    bad = isinstance(mech, GridMechanism) and core.check_feasible(mech)
+    """The mechanism, unless it has two strict winners at one of its nodes."""
+    bad = core.check_feasible(mech)
     if bad:
         raise FeasibilityError(f"supply violated at {bad.values}")
     return mech
-
-
-def _as_grid(mech) -> GridMechanism:
-    if isinstance(mech, GridMechanism):
-        return mech
-    return core.grid_from_lsa(mech, nature.breakpoint_coords(mech))
 
 
 def _distribution_json(dist) -> dict:
@@ -147,7 +141,7 @@ def cmd_worst_case(args) -> dict:
 
 def cmd_improve(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _as_grid(_parse_mechanism(_load_json(args.mechanism), instance))
+    mech = _parse_mechanism(_load_json(args.mechanism), instance)
     lsa, audit = improve.dominating_lsa(mech, instance)
     reserves = [lsa.reserve(i) for i in range(lsa.n)]
     try:
@@ -173,7 +167,7 @@ def cmd_improve(args) -> dict:
 def cmd_member(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
     mech = _parse_mechanism(_load_json(args.mechanism), instance)
-    ok, violations = optset.member(_as_grid(_feasible(mech)), instance)
+    ok, violations = optset.member(_feasible(mech), instance)
     return {
         "member": ok,
         "violations": [{

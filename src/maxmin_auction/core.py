@@ -344,8 +344,11 @@ def revenue(mech: Mechanism, v: Sequence[float]) -> float:
     return float(np.sum(mech.payment(v)))
 
 
-def check_feasible(mech: GridMechanism) -> Optional[SupplyViolation]:
-    """Scan the product grid for profiles where two bidders strictly win."""
+def check_feasible(mech: Mechanism) -> Optional[SupplyViolation]:
+    """Two strict winners at a grid mechanism's own nodes (not between them,
+    where they can remain); ``None`` for a score auction, feasible as built."""
+    if isinstance(mech, LinearScoreAuction):
+        return None
     n = mech.n
     grids = np.meshgrid(*mech.coords, indexing="ij")
     wins = np.zeros(grids[0].shape, dtype=int)

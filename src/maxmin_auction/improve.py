@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nature
-from .core import (GridMechanism, Instance, LinearScoreAuction,
+from .core import (GridMechanism, Instance, LinearScoreAuction, Mechanism,
                    check_compatible, check_feasible, corner_hitting, drop,
                    rival_axes)
 from .errors import DomainError, FeasibilityError, NumericalError
@@ -225,14 +225,16 @@ class ImprovementAudit:
     fixed_point: np.ndarray
 
 
-def dominating_lsa(mech: GridMechanism, instance: Instance
+def dominating_lsa(mech: Mechanism, instance: Instance
                    ) -> tuple[LinearScoreAuction, ImprovementAudit]:
-    """A corner-hitting auction whose guarantee weakly beats the input's."""
+    """A corner-hitting auction whose guarantee weakly beats ``mech``'s:
+    Nature prices ``mech`` itself; later steps read its tables on that grid."""
     violation = check_feasible(mech)
     if violation is not None:
         raise FeasibilityError(f"supply violated at {violation.values}")
 
     guarantee, _, cert, grid = nature.mechanism_guarantee(mech, instance)
+    mech = GridMechanism(grid, mech.tables(grid))
     lam_raw = cert.lam
     split_mech, lam = grand_case_split(mech, lam_raw)
     pt = tilde_transform(split_mech, lam)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solve
+from . import core, nature, solve
 from .core import GridMechanism, Instance, check_compatible
 from .errors import DomainError
 from .solve import Regime
@@ -43,15 +43,16 @@ def _eval_nodes(mech: GridMechanism, i: int, rstar: np.ndarray,
     return np.unique(np.clip(nodes, 0.0, vmax))
 
 
-def member(mech: GridMechanism,
-           instance: Instance) -> tuple[bool, list[Violation]]:
+def member(mech, instance: Instance) -> tuple[bool, list[Violation]]:
     """Does the mechanism achieve the optimal worst-case revenue?
 
     Returns the verdict plus every violated envelope condition with a witness.
-    """
+    A score auction is read on its breakpoint grid, exact for two bidders."""
     check_compatible(mech, instance)
     if instance.n != 2:
         raise DomainError("optimal-set characterization covers two bidders")
+    if isinstance(mech, core.LinearScoreAuction):
+        mech = core.grid_from_lsa(mech, nature.breakpoint_coords(mech))
     vmax = instance.common_vmax()
     sol = solve.optimal_reserves(instance)
     lam = sol.lambda_star

@@ -141,11 +141,27 @@ class TestImprove:
         assert data["guarantee"] >= data["audit"]["input_guarantee"] - 1e-6
 
 
-    def test_never_sell_output_prints_positive_zero(self, tmp_path, capsys):
+    def test_three_bidder_score_auction_priced_as_itself(self, tmp_path,
+                                                         capsys):
         inst = write(tmp_path, "i.json",
                      {"n": 3, "vmax": [1, 1, 1], "means": [0.5, 0.5, 0.5]})
         mech = write(tmp_path, "m.json", {"type": "corner_hitting",
                                           "reserves": [0.3, 0.4, 0.5]})
+        code, out, _ = run_capture(capsys, ["improve", inst, mech])
+        assert code == 0
+        data = json.loads(out)
+        expected, _ = ma.lsa_guarantee([0.3, 0.4, 0.5],
+                                       ma.Instance(3, [0.5] * 3, 1.0))
+        assert data["audit"]["input_guarantee"] == pytest.approx(expected,
+                                                                 abs=1e-9)
+        assert data["guarantee"] >= data["audit"]["input_guarantee"]
+
+    def test_never_sell_output_prints_positive_zero(self, tmp_path, capsys):
+        # every bidder excluded: Nature's multipliers are exactly 0
+        inst = write(tmp_path, "i.json",
+                     {"n": 3, "vmax": [1, 1, 1], "means": [0.5, 0.5, 0.5]})
+        mech = write(tmp_path, "m.json", {"type": "corner_hitting",
+                                          "reserves": [1, 1, 1]})
         code, out, _ = run_capture(capsys, ["improve", inst, mech])
         assert code == 0
         assert json.loads(out)["reserves"] == [1, 1, 1]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxmin_auction as ma
-from maxmin_auction import DomainError, FeasibilityError
+from maxmin_auction import DomainError, FeasibilityError, nature
 from maxmin_auction.core import drop
 
 
@@ -183,6 +183,9 @@ class TestCheckFeasible:
         gm = ma.GridMechanism([c, c], [p, p])
         assert ma.check_feasible(gm) is None
 
+    def test_score_auction_is_feasible_as_built(self):
+        assert ma.check_feasible(lsa_04()) is None
+
 
 NONFINITE = [np.nan, np.inf, -np.inf]
 
@@ -239,6 +242,25 @@ class TestGridFromLsa:
             ma.grid_from_lsa(lsa_04(), [[0.0, 0.5, 1.0], [0.0, 0.5, 1.5]])
         with pytest.raises(DomainError):
             ma.grid_from_lsa(lsa_04(), [[-0.1, 0.5, 1.0], [0.0, 1.0]])
+
+    def test_two_bidder_breakpoint_grid_is_exact(self, rng):
+        """On its breakpoint grid a two-bidder score auction's tabulation
+        interpolates back to its thresholds: the grid holds the reserves and
+        the kinks where a threshold clips at its bound."""
+        for _ in range(200):
+            vmax = tuple(rng.uniform(0.5, 2.0, 2)) if rng.random() < 0.5 \
+                else (1.0, 1.0)
+            alphas, betas = rng.uniform(0.0, 1.5, 2), rng.uniform(0.3, 3.0, 2)
+            lsa = ma.LinearScoreAuction(
+                tuple(alphas), tuple(betas), vmax,
+                tuple(bool(e) for e in rng.random(2) < 0.15))
+            gm = ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+            for i in (0, 1):
+                top = vmax[1 - i]
+                for w in np.concatenate([rng.uniform(0.0, top, 20),
+                                         np.linspace(0.0, top, 21)]):
+                    assert gm.threshold(i, [w]) == pytest.approx(
+                        lsa.threshold(i, [w]), abs=1e-12)
 
 
 def two_bidder_grid(vmax=1.0):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import random_feasible_mechanism, random_instance
+from generators import (random_corner_lsa, random_feasible_mechanism,
+                        random_instance)
 from maxmin_auction import nature
 from maxmin_auction.errors import DomainError, FeasibilityError
 from maxmin_auction.improve import AffineThresholds
@@ -317,6 +318,37 @@ class TestDominatingLsa:
             assert value >= audit.input_guarantee - 1e-6
             assert audit.value_minorant >= audit.value_input - 1e-9
             assert audit.value_output >= audit.value_minorant - 1e-9
+
+    def test_three_bidder_reserve_auctions_priced_as_themselves(self, rng):
+        """Nature prices an n = 3 score auction itself, so the input
+        guarantee is the multiplier LP's; a tabulated copy undershot it."""
+        for _ in range(30):
+            inst = random_instance(rng, n=3)
+            lsa = random_corner_lsa(rng, inst)
+            r = [lsa.reserve(i) for i in range(3)]
+            out, audit = ma.dominating_lsa(lsa, inst)
+            assert audit.input_guarantee == pytest.approx(
+                ma.lsa_guarantee(r, inst)[0], abs=1e-9)
+            value, _ = ma.lsa_guarantee([out.reserve(i) for i in range(3)],
+                                        inst)
+            assert value >= audit.input_guarantee - 1e-9
+            assert audit.value_minorant >= audit.value_input - 1e-9
+            assert audit.value_output >= audit.value_minorant - 1e-9
+
+    def test_two_bidder_score_auction_matches_its_tabulation(self, rng):
+        for _ in range(30):
+            inst = random_instance(rng, n=2)
+            lsa = random_corner_lsa(rng, inst)
+            gm = ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+            (out_a, a), (out_b, b) = (ma.dominating_lsa(m, inst)
+                                      for m in (lsa, gm))
+            assert [out_a.reserve(i) for i in range(2)] == pytest.approx(
+                [out_b.reserve(i) for i in range(2)], abs=1e-12)
+            for field in ("lambda_raw", "lam", "input_guarantee",
+                          "value_input", "value_minorant", "value_output",
+                          "fixed_point"):
+                assert np.asarray(getattr(a, field)) == pytest.approx(
+                    np.asarray(getattr(b, field)), abs=1e-12), field
 
     def test_pointwise_ordering(self, rng):
         """Minorant below the input thresholds, output thresholds above the

@@ -112,6 +112,20 @@ class TestSampledSoundness:
             value, *_ = nature.mechanism_guarantee(gm, inst)
             assert value < target - 1e-4
 
+    @pytest.mark.parametrize("means", [[0.64, 0.64], [0.55, 0.7],
+                                       [0.75, 0.91]])
+    def test_score_auction_read_as_its_tabulation(self, rng, means):
+        inst = ma.Instance(2, means, 1.0)
+        optimal = ma.optimal_reserves(inst).reserves_canonical
+        for k in range(10):
+            r = optimal.copy()
+            if k:                               # near misses
+                r[k % 2] = np.clip(r[k % 2] + rng.uniform(-0.12, 0.12),
+                                   0.0, 0.95)
+            lsa = ma.corner_hitting(r, inst.vmax)
+            gm = ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
+            assert ma.member(lsa, inst) == ma.member(gm, inst)
+
     def test_regime_consistency_members_always_sell_above_reserves(self, rng):
         """Accepted high-means mechanisms allocate wherever both values sit
         above the optimal reserves."""
