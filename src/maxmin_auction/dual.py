@@ -2,7 +2,9 @@
 
 For a corner-hitting auction with reserves r and multipliers lam >= 0 the
 inner minimization over value profiles collapses to finitely many affine
-expressions; maximizing over lam is then a small linear program.
+expressions.  With equal bounds, maximizing over lam is a fractional
+knapsack in one parameter, solved exactly in O(n log n) (``lsa_guarantee``);
+with unequal bounds it is a small linear program (``lsa2_asym_guarantee``).
 """
 
 from __future__ import annotations
@@ -92,11 +94,72 @@ def _guarantee_lp(wall_A, wall_b: list, r: np.ndarray, vmax,
 
 
 def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
-    """Worst-case expected revenue of the reserve auction and an argmax lam."""
+    """Worst-case expected revenue of the reserve auction and an argmax lam.
+
+    This is the maximum of ``lsa_lagrangian`` over lam >= 0, found exactly
+    without an LP solver.  With u the inner minimum, it is the LP: maximize
+    m @ lam + u subject to the wall row u <= vmax (1 - sum lam), one row
+    u <= r_i - lam_{-i} @ r_{-i} - lam_i vmax per bidder, and the no-sale
+    row u <= -lam @ r when every reserve is positive.  Put
+    x_j = (vmax - r_j) lam_j, s = u + lam @ r and
+    q_j = (m_j - r_j) / (vmax - r_j).  The LP becomes
+
+        maximize s + sum_j q_j x_j  subject to  x >= 0, s <= 0,
+                 x_i <= r_i - s  and  sum_j x_j <= vmax - s.
+
+    s <= 0 is the no-sale row; when some r_i = 0, bidder i's row
+    x_i <= -s implies it.  A bidder with r_j >= vmax (up to the reserve
+    tolerance above it) gains at most lam_j (r_j - vmax) from lam_j > 0,
+    by loosening rows, and loses lam_j (r_j - m_j), which is more since
+    m_j < vmax; one with q_j <= 0 only uses up budget.  Both get
+    lam_j = 0, and their row s <= r_j holds for every s <= 0.
+
+    For fixed s the rest is a fractional knapsack: fill the remaining
+    bidders in decreasing q_j (ties to the lower index), each up to the cap
+    r_j - s, until the budget vmax - s is spent.  Its value F(s) is concave
+    and piecewise linear in s (the optimal value of an LP in its right-hand
+    side).  The first k bidders in that order use exactly the budget where
+    r_(1) + ... + r_(k) - k s = vmax - s, so F has kinks only at
+    s_k = (r_(1) + ... + r_(k) - vmax) / (k - 1), k >= 2; the first bidder
+    always fits, since r_(1) <= vmax.  Below every kink it is the only
+    full bidder and the second takes the rest, so F has slope
+    1 - q_(1) > 0 there (m_j < vmax gives q_j < 1).  F therefore peaks at
+    s = 0 or at a negative s_k, where
+    F(s_k) = s_k + sum_{i <= k} q_(i) (r_(i) - s_k) comes from prefix sums.
+    The argmax lam is x_j / (vmax - r_j) from the fill at the best s.
+    """
     vmax = instance.common_vmax()
     r, _ = _checked(r, None, instance, vmax + 1e-12)
-    return _guarantee_lp(vmax, [vmax],     # u <= vmax (1 - sum lam)
-                         r, vmax, instance.mean_vector)
+    r = r.tolist()
+    q = {j: (m - r[j]) / (vmax - r[j])
+         for j, m in enumerate(instance.means) if r[j] < vmax}
+    order = sorted((j for j in q if q[j] > 0.0), key=lambda j: -q[j])
+
+    def fill(s):
+        budget = vmax - s
+        x = []
+        for j in order:
+            x.append(min(r[j] - s, budget))
+            budget -= x[-1]
+        return s + sum(q[j] * xj for j, xj in zip(order, x)), x
+
+    best_s, (best, x) = 0.0, fill(0.0)
+    sum_r = sum_q = sum_qr = 0.0
+    for k, j in enumerate(order):           # k bidders ahead of j
+        sum_r += r[j]
+        sum_q += q[j]
+        sum_qr += q[j] * r[j]
+        if k:
+            s = (sum_r - vmax) / k
+            value = s * (1.0 - sum_q) + sum_qr
+            if s < 0.0 and value > best:
+                best_s, best = s, value
+    if best_s < 0.0:
+        best, x = fill(best_s)
+    lam = np.zeros(instance.n)
+    for j, xj in zip(order, x):
+        lam[j] = xj / (vmax - r[j])
+    return best, lam
 
 
 def _asym_checks(r, v1_tilde, lam, instance: Instance):

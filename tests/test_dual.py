@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import maxmin_auction as ma
 from generators import random_corner_lsa, random_instance
-from maxmin_auction import nature
-from maxmin_auction.errors import DomainError
+from maxmin_auction import dual, nature
+from maxmin_auction.errors import BoundaryError, DomainError
 
 INST64 = ma.Instance(2, [0.64, 0.64], 1.0)
 
@@ -44,6 +44,12 @@ class TestLagrangian:
             0.064 + min(0.9, 0.2 - 0.01 - 0.05, -0.02), abs=1e-12)
         no_r = ma.lsa_lagrangian([0.0, 0.2], lam, INST64)
         assert no_r == pytest.approx(0.064 + min(0.9, -0.06, 0.19), abs=1e-12)
+
+
+def multiplier_lp_value(r, inst):
+    """The multiplier LP that ``lsa_guarantee`` maximizes, by the simplex."""
+    return dual._guarantee_lp(1.0, [1.0], np.asarray(r, dtype=float), 1.0,
+                              inst.mean_vector)[0]
 
 
 class TestGuarantee:
@@ -102,6 +108,77 @@ class TestGuarantee:
                      for i in range(n)]
             terms.append(float(-lam @ r))
             assert np.ptp(terms) <= 1e-12
+
+    def test_matches_two_bidder_closed_form(self, rng):
+        """lsa2_guarantee's worst-case types I, II and III, 1e-12 apart."""
+        seen = {kind: 0 for kind in nature.WorstCaseType}
+        while min(seen.values()) < 30:
+            inst = ma.Instance(2, rng.uniform(0.05, 0.95, 2), 1.0)
+            r = rng.uniform(0.0, 1.0, 2) * inst.mean_vector
+            try:
+                kind = nature.wcdistr2_classify(r, inst)
+            except BoundaryError:
+                continue
+            seen[kind] += 1
+            value, lam = ma.lsa_guarantee(r, inst)
+            assert value == pytest.approx(nature.lsa2_guarantee(r, inst),
+                                          abs=1e-12), (r, inst)
+            assert ma.lsa_lagrangian(r, lam, inst) == pytest.approx(
+                value, abs=1e-12)
+
+    def test_three_bidder_corner_hitting(self):
+        inst = ma.Instance(3, [0.6, 0.6, 0.6], 1.0)
+        lsa = ma.corner_hitting([0.3] * 3, inst.vmax)
+        value, lam = ma.lsa_guarantee(
+            [lsa.reserve(i) for i in range(3)], inst)
+        assert value == pytest.approx(0.4, abs=1e-12)
+        assert lam == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0, 1.0 + 5e-13])
+    def test_reserves_at_the_edges(self, edge, rng):
+        """Reserves at 0, at vmax and just above it (within the tolerance):
+        no division by zero (which would raise) or by a negative number
+        (which would give a negative lam); a bidder at or above vmax gets
+        lam = 0, and the value is the multiplier LP's."""
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            inst = random_instance(rng, n)
+            r = rng.uniform(0.0, 1.0, n)
+            r[rng.random(n) < 0.5] = edge
+            value, lam = ma.lsa_guarantee(r, inst)
+            assert np.all(np.isfinite(lam)) and lam.min() >= 0.0
+            assert np.all(lam[r >= 1.0] == 0.0)
+            assert value == pytest.approx(multiplier_lp_value(r, inst),
+                                          abs=1e-12), r
+        for r in ([edge] * 2, [edge] * 5):
+            value, lam = ma.lsa_guarantee(r, random_instance(rng, len(r)))
+            assert math.isfinite(value) and lam.min() >= 0.0
+
+    def test_zero_reserve_pool_matches_lp(self):
+        """Bidders with reserve 0 have no room at s = 0; the greedy fill
+        must pass over them, not stop, to reach the LP's value."""
+        rng = np.random.default_rng(131)
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            inst = random_instance(rng, n, lo=0.05, hi=0.95)
+            r = rng.uniform(0.0, 1.0, n)
+            r[rng.random(n) < 0.4] = 0.0
+            value, lam = ma.lsa_guarantee(r, inst)
+            assert value == pytest.approx(multiplier_lp_value(r, inst),
+                                          abs=1e-12), r
+            assert ma.lsa_lagrangian(r, lam, inst) == pytest.approx(
+                value, abs=1e-12), r
+
+    def test_degenerate_lp_with_tiny_reserves(self):
+        """The revised simplex hits its iteration limit on this multiplier
+        LP (an improve output's reserves); the exact solution needs none."""
+        inst = ma.Instance(2, [0.5456451129224206, 0.32773468526500726], 1.0)
+        r = [1.4178788317825602e-09, 2.857820171975376e-05]
+        value, lam = ma.lsa_guarantee(r, inst)
+        assert value == pytest.approx(nature.lsa2_guarantee(r, inst),
+                                      abs=1e-12)
+        assert ma.lsa_lagrangian(r, lam, inst) == pytest.approx(value,
+                                                                abs=1e-12)
 
     @given(st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
            st.lists(st.floats(0.05, 0.9), min_size=2, max_size=2),

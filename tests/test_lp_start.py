@@ -1,13 +1,16 @@
 """The revised simplex against the dense tableau it replaced, and HiGHS.
 
-Nature's LPs and the multiplier LPs are captured from their real callers
-(``worst_case_lp`` and ``_guarantee_lp``), together with the starting basis
-each caller passes.  Every LP is solved from that start and must match the
-dense two-phase tableau below in value; the basis is not compared, because
-on fine grids the optimum is often not unique.  The same LPs must also give
-exactly the bits of the revised simplex's earlier form, kept at the end of
-this file, which inverted every start, built the multiplier LP row by row
-and could start from artificial variables instead.
+Nature's LPs and the unequal-bounds multiplier LPs are captured from their
+real callers (``worst_case_lp`` and ``_guarantee_lp``), together with the
+starting basis each caller passes.  ``lsa_guarantee`` solves its multiplier
+LP without the simplex, so its LPs come from ``reference_multiplier_lp``
+below, with their slack start.  Every LP is solved from its start and must
+match the dense two-phase tableau below in value; the basis is not
+compared, because on fine grids the optimum is often not unique.  The same
+LPs must also give exactly the bits of the revised simplex's earlier form,
+kept at the end of this file, which inverted every start, built the
+multiplier LP row by row and could start from artificial variables
+instead.
 """
 
 import operator
@@ -175,14 +178,16 @@ def multiplier_calls(seed, per_n=40):
 
 
 def multiplier_lps(seed, per_n=40):
-    """The multiplier LPs of ``multiplier_calls(seed, per_n)``."""
-    calls = multiplier_calls(seed, per_n)
-
-    def run():
-        for name, args in calls:
-            getattr(dual, name)(*args)
-
-    return captured_lps(dual, run)
+    """The multiplier LPs of ``multiplier_calls(seed, per_n)``: built by
+    ``reference_multiplier_lp`` for ``lsa_guarantee``, captured from the
+    real caller for ``lsa2_asym_guarantee``."""
+    lps = []
+    for name, args in multiplier_calls(seed, per_n):
+        if name == "lsa_guarantee":
+            lps.append(reference_multiplier_lp(name, args))
+        else:
+            lps += captured_lps(dual, lambda: dual.lsa2_asym_guarantee(*args))
+    return lps
 
 
 @pytest.fixture(scope="module")
@@ -510,17 +515,26 @@ def test_solver_bit_identical_to_reference(nature_corpus, multiplier_corpus):
 
 
 def test_multiplier_lps_bit_identical_to_reference():
-    """Each multiplier LP is built with exactly the reference's rows, and
-    its guarantee and multipliers carry the reference's bits."""
+    """Each unequal-bounds multiplier LP is built with exactly the
+    reference's rows, and its guarantee and multipliers carry the
+    reference's bits.  ``lsa_guarantee`` hands no LP to the simplex; its
+    value is the reference LP's optimum and its multipliers attain it."""
     for k, (name, args) in enumerate(multiplier_calls(seed=52)):
         out = []
-        (lp,) = captured_lps(dual, lambda: out.append(
+        lps = captured_lps(dual, lambda: out.append(
             getattr(dual, name)(*args)))
-        (value, lam), (c, A, b, start) = out[0], lp
+        (value, lam) = out[0]
         ref = reference_multiplier_lp(name, args)
-        for got, want in zip((c, A, b, start), ref):
-            assert np.array_equal(got, want), (k, name)
         res = reference_solve_lp(*ref[:3], start=ref[3])
+        if name == "lsa_guarantee":
+            r, inst = args
+            assert lps == [], k
+            assert abs(value - -res.value) <= VALUE_TOL, k
+            assert abs(ma.lsa_lagrangian(r, lam, inst) - value) <= 1e-12, k
+            continue
+        (lp,) = lps
+        for got, want in zip(lp, ref):
+            assert np.array_equal(got, want), (k, name)
         assert value == -res.value, (k, name)
         assert np.array_equal(lam, res.x[:len(lam)]), (k, name)
 

@@ -127,8 +127,9 @@ class TestOptimalReserves:
         for _ in range(50):
             inst = random_instance(rng)
             sol = ma.optimal_reserves(inst)
-            value, _ = ma.lsa_guarantee(sol.reserves_canonical, inst)
-            assert sol.guarantee == pytest.approx(value, abs=1e-9)
+            value, lam = ma.lsa_guarantee(sol.reserves_canonical, inst)
+            assert sol.guarantee == pytest.approx(value, abs=1e-12)
+            assert lam == pytest.approx(sol.lambda_star, abs=1e-12)
 
     def test_four_bidders(self):
         inst = ma.Instance(4, [0.9, 0.92, 0.94, 0.2], 1.0)
@@ -136,8 +137,9 @@ class TestOptimalReserves:
         assert sol.regime is Regime.HIGH_MEANS
         assert np.sum(sol.lambda_star / (1 + sol.lambda_star)) == \
             pytest.approx(1.0, abs=1e-12)
-        value, _ = ma.lsa_guarantee(sol.reserves_canonical, inst)
-        assert sol.guarantee == pytest.approx(value, abs=1e-9)
+        value, lam = ma.lsa_guarantee(sol.reserves_canonical, inst)
+        assert sol.guarantee == pytest.approx(value, abs=1e-12)
+        assert lam == pytest.approx(sol.lambda_star, abs=1e-12)
         assert ma.reserve_is_optimal(sol.reserves_canonical, inst)
 
 
