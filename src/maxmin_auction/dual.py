@@ -4,7 +4,9 @@ For a corner-hitting auction with reserves r and multipliers lam >= 0 the
 inner minimization over value profiles collapses to finitely many affine
 expressions.  With equal bounds, maximizing over lam is a fractional
 knapsack in one parameter, solved exactly in O(n log n) (``lsa_guarantee``);
-with unequal bounds it is a small linear program (``lsa2_asym_guarantee``).
+with unequal bounds (two bidders) the maximum is the best vertex of a
+piecewise-linear function of two multipliers (``lsa2_asym_guarantee``).
+No LP solver is used.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .core import Instance
 from .errors import DomainError
-from .simplex import solve_lp
+from .simplex import solve_lp  # noqa: F401  unused here; perfbench wraps dual.solve_lp
 
 
 def _lagrangian_terms(r: np.ndarray, lam: np.ndarray, vmax,
@@ -58,39 +60,6 @@ def lsa_lagrangian(r, lam, instance: Instance) -> float:
     wall = [vmax * (1.0 - float(lam.sum()))]
     inner = _lagrangian_terms(r, lam, instance.vmax, wall)
     return float(lam @ instance.mean_vector + inner)
-
-
-def _guarantee_lp(wall_A, wall_b: list, r: np.ndarray, vmax,
-                  means: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize means @ lam + u subject to u <= terms_b - terms_A @ lam, lam >= 0.
-
-    The terms are the given wall rows (``wall_A`` is anything that fills a
-    ``len(wall_b) x n`` block), then one row per bidder
-    (u <= r_i - lam_{-i} r_{-i} - lam_i vmax_i), then the no-sale row
-    (u <= -lam @ r) when every reserve is positive.  Variables are
-    (lam, u+, u-, slacks); every right-hand side is nonnegative, so the
-    slack columns are a feasible starting basis.
-    """
-    n = means.shape[0]
-    w = len(wall_b)
-    k = w + n + (r.min() > 0.0)            # no-sale row iff its region is nonempty
-    ncols = n + 2 + k
-    A = np.zeros((k, ncols))
-    b = np.zeros(k)
-    A[:w, :n] = wall_A
-    A[w:, :n] = r                          # bidder rows, then the no-sale row
-    np.fill_diagonal(A[w:w + n], vmax)     # ... with vmax_i in place of r_i
-    A[:, n] = 1.0
-    A[:, n + 1] = -1.0
-    np.fill_diagonal(A[:, n + 2:], 1.0)
-    b[:w] = wall_b
-    b[w:w + n] = r
-    c = np.zeros(ncols)
-    c[:n] = -means
-    c[n] = -1.0
-    c[n + 1] = 1.0
-    res = solve_lp(c, A, b, start=np.arange(n + 2, ncols))
-    return 0.0 - res.value, res.x[:n].copy()      # +0.0, never -0.0
 
 
 def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
@@ -187,7 +156,34 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
 
 def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndarray]:
-    """Maximize the asymmetric-bound Lagrangian over nonnegative multipliers."""
+    """Maximize the asymmetric-bound Lagrangian over nonnegative multipliers.
+
+    Each row k of ``lsa2_asym_lagrangian`` (two wall rows, two bidder rows
+    and the no-sale row u <= -lam @ r, kept when a reserve is 0 because a
+    bidder row then implies it) is affine in lam, f_k(lam) = c_k + g_k @ lam with g_k = m - A_k, so
+    L(lam) = min_k f_k(lam) is concave and piecewise linear.  The first
+    wall row bounds it by v1_tilde + (m - vmax) @ lam, and m < vmax, so L
+    has a maximum over lam >= 0, attained at a vertex of {(lam, u):
+    lam >= 0, u <= f_k(lam)}: a point where three independent constraints
+    among u = f_k and lam_j = 0 hold.  In lam that is where two of the lines
+    f_k = f_l and lam_j = 0 cross (two pairs of rows tie, one pair ties on
+    an axis, or lam = 0).  Every pair of these lines is solved by Cramer's
+    rule; crossings with lam >= -1e-12 are clipped at 0 and scored, and the
+    best is returned with its value in ``lsa2_asym_lagrangian``.
+    """
     r, _, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
-    return _guarantee_lp([[v1, v2], [v1_tilde, v2]], [v1_tilde, v2],
-                         r, (v1, v2), instance.mean_vector)
+    A = np.array([[v1, v2], [v1_tilde, v2], [v1, r[1]], [r[0], v2], r])
+    c = np.array([v1_tilde, v2, r[0], r[1], 0.0])
+    g = instance.mean_vector - A
+    k, l = np.triu_indices(len(c), 1)      # lines a @ lam = b: ties, then axes
+    a = np.vstack([g[k] - g[l], np.eye(2)])
+    b = np.concatenate([c[l] - c[k], [0.0, 0.0]])
+    p, q = np.triu_indices(len(b), 1)
+    det = a[p, 0] * a[q, 1] - a[p, 1] * a[q, 0]
+    keep = det != 0.0                      # parallel lines never cross
+    p, q, det = p[keep], q[keep], det[keep]
+    lam = np.column_stack([b[p] * a[q, 1] - a[p, 1] * b[q],
+                           a[p, 0] * b[q] - b[p] * a[q, 0]]) / det[:, None]
+    lam = np.maximum(lam[(lam >= -1e-12).all(axis=1)], 0.0)
+    best = lam[(c + lam @ g.T).min(axis=1).argmax()]
+    return lsa2_asym_lagrangian(r, v1_tilde, best, instance), best

@@ -17,8 +17,8 @@ class FeasibilityError(ValueError):
     """A mechanism violates the supply constraint (two strict winners)."""
 
 
-class InfeasibleError(ValueError):
-    """A linear program has no feasible point (means outside the grid hull)."""
+class InfeasibleError(DomainError):
+    """Nature's LP has no feasible point: the means lie outside the grid's box."""
 
 
 class UnboundedError(ValueError):

@@ -28,7 +28,6 @@ from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
 from .simplex import solve_lp
 
 PROB_TOL = 1e-12
-MAX_PER_AXIS = 200            # coordinates per axis of an LSA's grid
 MAX_STEP_NODES = 10_000_000   # largest grid a ``step`` may ask for
 MAP_MAX_ITER = 200            # steps of one corner-map start
 NEWTON_STEPS = 20             # Newton steps of one cell solve
@@ -73,8 +72,12 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     """Per-bidder coordinates covering the box with all threshold breakpoints.
 
     For affine-score mechanisms the induced threshold values are closed under
-    a few rounds of re-tabulation, which is what makes the grid LP exact.
-    A two-bidder grid mechanism takes one round: its p_i are piecewise
+    re-tabulation, which is what makes the grid LP exact.  An LSA takes one
+    round from its reserves: its thresholds are (alpha_i + l) / beta_i
+    clipped to [0, vmax_i], where the rival score l lies in
+    {0} | {(beta_j vmax_j - alpha_j)^+}, and every score at such a point is
+    again in that set, so a second round adds nothing.
+    A two-bidder grid mechanism takes one round too: its p_i are piecewise
     linear with kinks at the rival's coords, and a feasible mechanism's win
     regions meet the other curve only where the curves coincide, so every
     vertex of a piece on which revenue is affine is a product of coords,
@@ -94,12 +97,11 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
         if nodes > MAX_STEP_NODES:
             raise SizeError(f"grid step {step} gives {nodes:.3g} nodes, more "
                             f"than {MAX_STEP_NODES}")
+    rounds, max_per_axis = 1, math.inf
     if isinstance(mech, LinearScoreAuction):
-        rounds, max_per_axis = 6, MAX_PER_AXIS
         seeds = [[mech.reserve(i)] for i in range(n)]
     else:                      # the coords and the no-sale region's corners:
         if n == 2:             # where the two threshold curves cross
-            rounds, max_per_axis = 1, math.inf
             corners = _threshold_crossings_2d(mech)
         else:                  # fixed points of the pinned, clamped map
             rounds, max_per_axis = 3, 24

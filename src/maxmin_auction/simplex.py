@@ -6,11 +6,9 @@ inverse next to the basic solution and prices every column with one
 ``y @ A`` pass per pivot; it never forms B^-1 A.
 
 Every caller knows a feasible basis and passes it as ``start``, so there is
-no phase 1; a start whose columns are exactly the identity, such as a slack
-basis, needs no inverse, so a tiny LP pays for its pivots alone.
-Pivoting is deterministic: steepest reduced cost while the objective moves,
-Bland's rule after a run of degenerate pivots, and ratio-test ties go to the
-smaller basic index.
+no phase 1.  Pivoting is deterministic: steepest reduced cost while the
+objective moves, Bland's rule after a run of degenerate pivots, and
+ratio-test ties go to the smaller basic index.
 """
 
 from __future__ import annotations
@@ -98,12 +96,7 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
 
 def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
                                                                 np.ndarray]:
-    """``[B^-1 | x_B]`` and the basis for a caller's feasible start.
-
-    A start whose columns are exactly the identity (a slack basis) has
-    B^-1 = I, condition number 1 and x_B = b: it needs no inverse and passes
-    the conditioning check by construction.
-    """
+    """``[B^-1 | x_B]`` and the basis for a caller's feasible start."""
     m, ncols = A.shape
     try:
         basis = [operator.index(j) for j in start]
@@ -114,23 +107,17 @@ def _start_basis(A: np.ndarray, b: np.ndarray, start) -> tuple[np.ndarray,
         raise DomainError(f"start must name {m} distinct columns of A")
     basis = np.array(basis, dtype=np.intp)
     B = A[:, basis]
-    inv = np.eye(m, m + 1)
-    if (B == inv[:, :m]).all():
-        xb = b
-    else:
-        try:
-            binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            raise DomainError("start basis is singular") from None
-        if (np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
-                > MAX_COND):
-            raise DomainError("start basis is numerically singular")
-        inv[:, :m] = binv
-        xb = binv @ b
+    try:
+        binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise DomainError("start basis is singular") from None
+    if (np.abs(B).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
+            > MAX_COND):
+        raise DomainError("start basis is numerically singular")
+    xb = binv @ b
     if (xb < -START_TOL).any():
         raise DomainError("start basis is not feasible")
-    inv[:, -1] = np.maximum(xb, 0.0)
-    return inv, basis
+    return np.column_stack([binv, np.maximum(xb, 0.0)]), basis
 
 
 def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, start) -> LPResult:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import maxmin_auction as ma
 from generators import random_corner_lsa, random_instance
-from maxmin_auction import dual, nature
+from maxmin_auction import nature
 from maxmin_auction.errors import BoundaryError, DomainError
+from test_lp_start import reference_multiplier_lp, reference_solve_lp
 
 INST64 = ma.Instance(2, [0.64, 0.64], 1.0)
 
@@ -48,8 +49,9 @@ class TestLagrangian:
 
 def multiplier_lp_value(r, inst):
     """The multiplier LP that ``lsa_guarantee`` maximizes, by the simplex."""
-    return dual._guarantee_lp(1.0, [1.0], np.asarray(r, dtype=float), 1.0,
-                              inst.mean_vector)[0]
+    c, A, b, start = reference_multiplier_lp(
+        "lsa_guarantee", (np.asarray(r, dtype=float), inst))
+    return -reference_solve_lp(c, A, b, start=start).value
 
 
 class TestGuarantee:
@@ -216,6 +218,36 @@ class TestAsymmetric:
         lp_value, *_ = nature.mechanism_guarantee(lsa, inst)
         assert value == pytest.approx(lp_value, abs=1e-9)
         assert value == pytest.approx(sol.guarantee, abs=1e-9)
+
+    def test_degenerate_lp_with_tiny_reserves(self):
+        """The equal-bounds instance on which the simplex failed: with
+        v1_tilde = vmax the unequal-bounds form is the equal-bounds one."""
+        inst = ma.Instance(2, [0.5456451129224206, 0.32773468526500726], 1.0)
+        r = [1.4178788317825602e-09, 2.857820171975376e-05]
+        value, lam = ma.lsa2_asym_guarantee(r, 1.0, inst)
+        assert value == pytest.approx(ma.lsa_guarantee(r, inst)[0],
+                                      abs=1e-12)
+        assert ma.lsa2_asym_lagrangian(r, 1.0, lam, inst) == value
+
+    def test_tiny_reserve_pool_against_highs(self):
+        """Tiny reserves, unequal bounds: every call returns a value that its
+        lam attains, and HiGHS's lam, scored the same way, is no better."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(71)
+        for k in range(320):
+            vmax = np.array([1.0, rng.uniform(0.5, 1.0)])
+            inst = ma.Instance(2, rng.uniform(0.05, 0.95, 2) * vmax, vmax)
+            r = 10.0 ** rng.uniform(-10.0, -5.0, 2) * vmax
+            v1_tilde = rng.uniform(0.0, 1.0)
+            value, lam = ma.lsa2_asym_guarantee(r, v1_tilde, inst)
+            assert ma.lsa2_asym_lagrangian(r, v1_tilde, lam, inst) == value, k
+            c, A, b, _ = reference_multiplier_lp("lsa2_asym_guarantee",
+                                                 (r, v1_tilde, inst))
+            res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            assert res.status == 0, (k, res.message)
+            highs = ma.lsa2_asym_lagrangian(r, v1_tilde,
+                                            np.maximum(res.x[:2], 0.0), inst)
+            assert highs <= value + 1e-12, k
 
     def test_bound_order_enforced(self):
         inst = ma.Instance(2, [0.5, 1.0], [1.0, 2.0])

@@ -55,6 +55,13 @@ class TestWorstCaseLP:
         with pytest.raises(InfeasibleError):
             nature.worst_case_lp(coords, np.zeros((2, 2)), inst)
 
+    def test_means_outside_grid_is_domain_error(self):
+        """Coords that do not cover the means are bad input."""
+        inst = ma.Instance(2, [0.7, 0.5], 1.0)
+        coords = [np.array([0.0, 0.5]), np.array([0.0, 1.0])]
+        with pytest.raises(DomainError):
+            nature.worst_case_lp(coords, np.zeros((2, 2)), inst)
+
     def test_unequal_bounds_negative_multiplier(self):
         # reserve above the small-bound rival's support: more rival mean hurts
         inst = ma.Instance(2, [1.5, 0.2], [2.0, 1.0])
@@ -219,6 +226,64 @@ class TestGridStep:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+def random_lsa(rng, n):
+    """Corner-hitting auctions with reserves at 0 and at the bound, and
+    general alpha / beta with exclusions and alpha = 0; equal or unequal
+    bounds."""
+    vmax = rng.uniform(0.5, 2.0, n) if rng.random() < 0.5 else np.ones(n)
+    if rng.random() < 0.4:
+        r = rng.uniform(0.0, 1.0, n) * vmax
+        r[rng.random(n) < 0.2] = 0.0
+        top = rng.random(n) < 0.2
+        r[top] = vmax[top]
+        return ma.corner_hitting(r, vmax)
+    alphas = rng.uniform(0.0, 1.5, n)
+    alphas[rng.random(n) < 0.25] = 0.0
+    return ma.LinearScoreAuction(
+        tuple(alphas), tuple(rng.uniform(0.3, 3.0, n)), tuple(vmax),
+        tuple(bool(e) for e in rng.random(n) < 0.2))
+
+
+def six_round_lsa_coords(lsa):
+    """An LSA's breakpoint grid as it was built before one round was shown
+    to close it: up to six rounds of induced thresholds, at most 200
+    points per axis."""
+    n, vmax = lsa.n, lsa.vmax
+    tol = 1e-12 * max(1.0, max(vmax))
+    coords = [nature.dedup_sorted([0.0, vmax[i], lsa.reserve(i)], tol,
+                                  snap=(0.0, vmax[i])) for i in range(n)]
+    for _ in range(6):
+        grew = False
+        induced = lsa.tables(coords)
+        for i in range(n):
+            merged = nature.dedup_sorted(np.concatenate(
+                [coords[i], induced[i].ravel()]), tol, snap=(0.0, vmax[i]))
+            if len(merged) > 200:
+                merged = coords[i]
+            grew |= len(merged) != len(coords[i])
+            coords[i] = merged
+        if not grew:
+            break
+    return coords
+
+
+def test_lsa_grid_closes_in_one_round():
+    """Every threshold of an LSA on its breakpoint grid is a coordinate of
+    that grid, and the grid is the one the six-round loop built.  For
+    n >= 3 and general alpha / beta that loop's second round can re-derive
+    a threshold one or two ulps lower, which the dedup then keeps, so the
+    coordinates agree to 2e-15 rather than bit for bit."""
+    rng = np.random.default_rng(61)
+    for k in range(600):
+        lsa = random_lsa(rng, 2 + k % 4)
+        grid = nature.breakpoint_coords(lsa)
+        for i, table in enumerate(lsa.tables(grid)):
+            assert np.abs(table.reshape(-1, 1) - grid[i]).min(axis=1).max() \
+                <= 1e-12, k
+        for a, b in zip(grid, six_round_lsa_coords(lsa)):
+            assert len(a) == len(b) and np.abs(a - b).max() <= 2e-15, k
 
 
 class TestDualValue:
