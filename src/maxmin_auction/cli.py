@@ -7,6 +7,7 @@ stderr), 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import operator
 import sys
@@ -167,17 +168,9 @@ def cmd_improve(args) -> dict:
 def cmd_member(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
     mech = _parse_mechanism(_load_json(args.mechanism), instance)
-    ok, violations = optset.member(_feasible(mech), instance)
-    return {
-        "member": ok,
-        "violations": [{
-            "condition": v.condition,
-            "bidder": v.bidder,
-            "rival_value": v.rival_value,
-            "threshold": v.threshold,
-            "bound": v.bound,
-        } for v in violations],
-    }
+    ok, witness = optset.member(_feasible(mech), instance)
+    return {"member": ok,
+            "witness": None if witness is None else dataclasses.asdict(witness)}
 
 
 def cmd_plot_data(args) -> str:

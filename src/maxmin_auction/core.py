@@ -395,6 +395,8 @@ class DiscreteDistribution:
         probs = np.asarray(probs, dtype=float)
         if atoms.shape[0] != probs.shape[0]:
             raise DomainError("one probability per atom required")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(probs))):
+            raise DomainError("atoms and probabilities must be finite")
         if np.any(probs < -1e-12):
             raise DomainError("negative probability")
         if abs(float(probs.sum()) - 1.0) > 1e-12:

@@ -322,12 +322,19 @@ def least_winning_threshold(values, thresholds, tol: float) -> np.ndarray:
 
 def _one_sided_slopes(c, t, z, tol: float):
     """Left and right slopes of the table t over the increasing c at each z:
-    the two adjacent cells at a node of c, the one cell between nodes, zero
-    past either end."""
-    s = np.concatenate([[0.0], np.diff(t) / np.diff(c), [0.0]])
-    k = np.clip(np.searchsorted(c, z + tol) - 1, 0, len(c) - 1)
-    hi = s[k + 1]
-    return np.where(np.abs(z - c[k]) <= tol, s[k], hi), hi
+    the two cells beside the node of c nearest z when it is within tol, the
+    one cell holding z otherwise; zero past either end.  A cell no wider
+    than tol across which t moves by no more than tol is part of its node,
+    and the next cell out gives the slope; a jump across one keeps its own."""
+    dc, dt = np.diff(c), np.diff(t)
+    cell = np.concatenate([[True], (dc > tol) | (np.abs(dt) > tol), [True]])
+    s = np.concatenate([[0.0], dt / dc, [0.0]])  # s[j]: cell j-1, 0 off the ends
+    j = np.arange(len(s))         # prev/nxt: nearest counted s index <= / >= j
+    prev = np.maximum.accumulate(np.where(cell, j, 0))
+    nxt = np.minimum.accumulate(np.where(cell, j, j[-1])[::-1])[::-1]
+    k = np.searchsorted((c[:-1] + c[1:]) / 2, z)  # the node nearest z
+    d = z - c[k]                  # z's cell is k - 1 below it, k above it
+    return s[prev[k + (d > tol)]], s[nxt[k + (d >= -tol)]]
 
 
 def _no_sale_limits_2d(mech: GridMechanism, value_grids, tables,

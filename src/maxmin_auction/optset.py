@@ -1,10 +1,15 @@
-"""Membership test for the full set of optimal two-bidder mechanisms.
+"""Membership test for the set of optimal two-bidder mechanisms.
 
-A mechanism is optimal iff its thresholds stay inside an affine envelope
-anchored at the optimal reserves, with slope equal to the rival's optimal
-multiplier; in the high-means regime the upper branch of the envelope is an
-equality, in the low-means regime monotonicity and mutual inversion take
-over above the reserves.
+By weak duality, a mechanism whose worst-tie revenue t satisfies
+t(v) >= V* - lam* @ m + lam* @ v at every profile v earns at least V*
+against every distribution with means m, so it is optimal.  Conversely, an
+optimal mechanism and Nature's worst case form a saddle point whose
+multipliers are the optimal lam*; for two bidders ``optimal_lambda`` never
+reports a weakly excluded bidder, so lam* is unique and every optimal
+mechanism clears that bound.  The test reads the bound on Nature's own
+breakpoint grid and lower-envelope table, where the revenue is affine
+between nodes.  For n >= 3 that table can undershoot, so the test is
+restricted to two bidders.
 """
 
 from __future__ import annotations
@@ -13,111 +18,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, nature, solve
-from .core import GridMechanism, Instance, check_compatible
+from . import nature, solve
+from .core import Instance, check_compatible
 from .errors import DomainError
-from .solve import Regime
 
 TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Violation:
-    condition: int
-    bidder: int
-    rival_value: float
-    threshold: float
+class Witness:
+    """A profile where the worst-tie revenue falls below the bound."""
+
+    values: tuple[float, ...]
+    revenue: float
     bound: float
 
-    def describe(self) -> str:
-        return (f"condition {self.condition}: p_{self.bidder}"
-                f"({self.rival_value:.6g}) = {self.threshold:.6g} "
-                f"vs bound {self.bound:.6g}")
 
-
-def _eval_nodes(mech: GridMechanism, i: int, rstar: np.ndarray,
-                vmax: float) -> np.ndarray:
-    rival = 1 - i
-    nodes = np.concatenate([mech.coords[rival],
-                            [0.0, rstar[rival], vmax]])
-    return np.unique(np.clip(nodes, 0.0, vmax))
-
-
-def member(mech, instance: Instance) -> tuple[bool, list[Violation]]:
+def member(mech, instance: Instance) -> tuple[bool, Witness | None]:
     """Does the mechanism achieve the optimal worst-case revenue?
 
-    Returns the verdict plus every violated envelope condition with a witness.
-    A score auction is read on its breakpoint grid, exact for two bidders."""
+    Returns the verdict and, for a non-member, the grid node with the
+    largest shortfall of revenue below V* - lam* @ m + lam* @ v."""
     check_compatible(mech, instance)
     if instance.n != 2:
         raise DomainError("optimal-set characterization covers two bidders")
-    if isinstance(mech, core.LinearScoreAuction):
-        mech = core.grid_from_lsa(mech, nature.breakpoint_coords(mech))
-    vmax = instance.common_vmax()
     sol = solve.optimal_reserves(instance)
     lam = sol.lambda_star
-    rstar = sol.reserves_canonical
-    violations: list[Violation] = []
-
-    high = sol.regime is Regime.HIGH_MEANS
-    lower_cond, upper_cond = (2, 3) if high else (1, 2)
-    for i in (0, 1):
-        rival = 1 - i
-        slope = lam[rival]                      # rival multiplier is the slope
-        nodes = _eval_nodes(mech, i, rstar, vmax)
-        for w in nodes:
-            p = mech.threshold(i, [w])
-            lower = rstar[i] + slope * (w - rstar[rival])
-            if p < lower - TOL:
-                violations.append(Violation(lower_cond, i, float(w), p,
-                                            float(lower)))
-            if w <= rstar[rival] + TOL:
-                upper = (lam[0] * rstar[0] + lam[1] * rstar[1]
-                         - slope * w) / lam[i]
-                if p > upper + TOL:
-                    violations.append(Violation(upper_cond, i, float(w), p,
-                                                float(upper)))
-            if high and w >= rstar[rival] - TOL and abs(p - lower) > TOL:
-                violations.append(Violation(1, i, float(w), p, float(lower)))
-
-    if sol.regime is Regime.LOW_MEANS:
-        for i in (0, 1):
-            rival = 1 - i
-            nodes = _eval_nodes(mech, i, rstar, vmax)
-            above = nodes[nodes >= rstar[rival] - TOL]
-            vals = np.array([mech.threshold(i, [w]) for w in above])
-            drops = np.flatnonzero(vals[1:] < vals[:-1] - TOL)
-            for k in drops:
-                violations.append(Violation(3, i, float(above[k + 1]),
-                                            float(vals[k + 1]), float(vals[k])))
-        violations.extend(_inverse_violations(mech, rstar, vmax))
-
-    return (len(violations) == 0), violations
-
-
-def _inverse_violations(mech: GridMechanism, rstar: np.ndarray,
-                        vmax: float) -> list[Violation]:
-    """Where p_rival strictly increases above the reserves, the two threshold
-    functions must invert each other."""
-    out: list[Violation] = []
-    for i in (0, 1):
-        rival = 1 - i
-        # Strict increase of p_rival over bidder i's own value axis.
-        own_nodes = np.unique(np.concatenate([mech.coords[i],
-                                              [rstar[i], vmax]]))
-        own_nodes = own_nodes[(own_nodes >= rstar[i] - TOL)
-                              & (own_nodes <= vmax + TOL)]
-        for a, bnd in zip(own_nodes[:-1], own_nodes[1:]):
-            pa = mech.threshold(rival, [a])
-            pb = mech.threshold(rival, [bnd])
-            if pb - pa <= TOL:
-                continue
-            for frac in (0.25, 0.5, 0.75):
-                x = a + frac * (bnd - a)
-                image = mech.threshold(rival, [x])
-                back = mech.threshold(i, [image])
-                if abs(back - x) > TOL:
-                    out.append(Violation(4, i, float(image), float(back),
-                                         float(x)))
-                    break
-    return out
+    coords = nature.breakpoint_coords(mech)
+    t = nature.lower_revenue_table(mech, coords)
+    x, y = np.meshgrid(*coords, indexing="ij", sparse=True)
+    bound = sol.guarantee - lam @ instance.mean_vector + lam[0] * x + lam[1] * y
+    gap = t - bound
+    k = np.unravel_index(np.argmin(gap), gap.shape)
+    if gap[k] >= -TOL:
+        return True, None
+    return False, Witness(tuple(float(c[i]) for c, i in zip(coords, k)),
+                          float(t[k]), float(bound[k]))

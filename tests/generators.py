@@ -198,3 +198,35 @@ def multilinear_batch(table, axes, points):
             sel.append(idx[k] + bit)
         out += w * table[tuple(sel)]
     return out
+
+
+def bent_boundary(instance, slopes):
+    """Two-bidder thresholds whose winning boundary leaves the optimal
+    reserves (r1, r2) in two straight pieces, slope ``slopes[0]`` up to the
+    middle of [r1, vmax] and ``slopes[1]`` after it, capped at vmax.  Below
+    the rival's reserve each threshold is the bidder's own reserve; above
+    it p2 follows the boundary and p1 inverts it."""
+    vmax = instance.common_vmax()
+    r1, r2 = ma.optimal_reserves(instance).reserves_canonical
+    xs, ys = [r1], [r2]
+    for a, b, s in ((r1, 0.5 * (r1 + vmax), slopes[0]),
+                    (0.5 * (r1 + vmax), vmax, slopes[1])):
+        if ys[-1] >= vmax:
+            break
+        x_hit = a + (vmax - ys[-1]) / s
+        if x_hit < b:
+            xs.append(x_hit)
+            ys.append(vmax)
+        else:
+            xs.append(b)
+            ys.append(ys[-1] + s * (b - a))
+    if xs[-1] < vmax:
+        xs.append(vmax)
+        ys.append(vmax)
+    xs, ys = np.array(xs), np.array(ys)
+    c1 = np.unique(np.concatenate([[0.0, vmax], xs]))
+    c2 = np.unique(np.concatenate([[0.0, vmax], ys]))
+    p2 = np.interp(c1, xs, ys)
+    rising = np.concatenate([[True], np.diff(ys) > 0.0])
+    p1 = np.where(c2 > ys[-1], vmax, np.interp(c2, ys[rising], xs[rising]))
+    return ma.GridMechanism([c1, c2], [p1, p2])

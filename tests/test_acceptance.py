@@ -9,6 +9,7 @@ import contextlib
 import numpy as np
 
 import maxmin_auction as ma
+from envelope_oracle import envelope_violations
 from generators import (random_corner_lsa, random_feasible_mechanism,
                         random_instance, sample_near_miss,
                         sample_optimal_member)
@@ -195,13 +196,15 @@ def test_12_optimal_set_membership():
             target = ma.optimal_reserves(inst).guarantee
             for _ in range(8):
                 gm = sample_optimal_member(rng, inst)
-                ok, violations = ma.member(gm, inst)
-                assert ok, [v.describe() for v in violations]
+                ok, witness = ma.member(gm, inst)
+                assert ok, witness
+                assert not envelope_violations(gm, inst)
                 value, *_ = nature.mechanism_guarantee(gm, inst)
                 assert abs(value - target) <= 1e-6
             for _ in range(8):
                 gm = sample_near_miss(rng, inst)
-                ok, _ = ma.member(gm, inst)
-                assert not ok
+                ok, witness = ma.member(gm, inst)
+                assert not ok and witness.revenue < witness.bound
+                assert envelope_violations(gm, inst)
                 value, *_ = nature.mechanism_guarantee(gm, inst)
                 assert value < target - 1e-4

@@ -182,9 +182,12 @@ class TestMember:
                     {"type": "corner_hitting", "reserves": [0.3, 0.3]})
         _, out_good, _ = run_capture(capsys, ["member", inst64, good])
         _, out_bad, _ = run_capture(capsys, ["member", inst64, bad])
-        assert json.loads(out_good)["member"] is True
+        assert json.loads(out_good) == {"member": True, "witness": None}
         data = json.loads(out_bad)
-        assert data["member"] is False and data["violations"]
+        assert data["member"] is False
+        witness = data["witness"]
+        assert witness["revenue"] < witness["bound"]
+        assert len(witness["values"]) == 2
 
 
 class TestPlotData:

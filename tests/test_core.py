@@ -220,6 +220,13 @@ class TestNonFiniteInput:
             ma.LinearScoreAuction((np.nan, 0.2), (1.0, 1.0), (1.0, 1.0),
                                   (True, False))
 
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_distribution(self, bad):
+        with pytest.raises(DomainError):
+            ma.DiscreteDistribution([[bad, 0.5]], [1.0])
+        with pytest.raises(DomainError):
+            ma.DiscreteDistribution([[0.2, 0.5], [0.3, 0.3]], [bad, 1.0])
+
 
 class TestGridFromLsa:
     def test_rows(self):
