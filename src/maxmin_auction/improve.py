@@ -4,7 +4,7 @@ Pipeline: take the dual multipliers of Nature's problem, exclude the bidders
 whose multipliers are not positive and zero those multipliers, replace each
 threshold function by its affine minorant with the multiplier slopes, and
 read the new generalized reserves off the least fixed point of the resulting
-monotone map.
+monotone map, found exactly as the least root of one scalar equation.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from . import nature
 from .core import (GridMechanism, Instance, LinearScoreAuction, Mechanism,
                    check_compatible, check_feasible, corner_hitting, drop,
                    rival_axes)
-from .errors import DomainError, FeasibilityError, NumericalError
+from .errors import DomainError, FeasibilityError
 
 logger = logging.getLogger(__name__)
-
-FIXED_POINT_MAX_ITER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -101,84 +99,40 @@ def tilde_transform(mech: GridMechanism, lam) -> AffineThresholds:
     return AffineThresholds(b=b, lam=lam.copy(), vmax=mech.vmax)
 
 
-def _affine_solve_on(pt: AffineThresholds, A: np.ndarray, free: list[int],
-                     pinned: np.ndarray):
-    """Solve v_F = lam_{-i} v_{-i} + b_i on the free block, others pinned."""
-    sub = A[np.ix_(free, free)]
-    if abs(np.linalg.det(sub)) < 1e-12:
-        return None
-    rhs = pt.b[free].copy()
-    for row, i in enumerate(free):
-        for j in range(pt.n):
-            if j not in free:
-                rhs[row] += pt.lam[j] * pinned[j]
-    sol = np.linalg.solve(sub, rhs)
-    out = pinned.copy()
-    out[free] = sol
-    return out
-
-
 def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
-    """Least fixed point of v -> clamp(pt(v)) by monotone iteration from zero.
+    """Least fixed point of v -> clip(pt(v), 0, vmax), exactly.
 
-    Mid-iteration the affine system of the current clamp pattern is solved;
-    the solution replaces the iterate only when it is a fixed point carrying
-    the same pattern and sitting above the iterate, in which case it provably
-    equals the iteration's limit.  This removes the slow creep near singular
-    multiplier configurations.  The iteration count is logged at debug level.
+    With S = lam @ v, bidder i's equation v_i = clip(S - lam_i v_i + b_i, 0,
+    vmax_i) has one solution v_i(S) = clip((S + b_i) / (1 + lam_i), 0,
+    vmax_i), nondecreasing in S as lam >= 0.  So the fixed points are v(S) at
+    the roots of h(S) = lam @ v(S) - S, and the least root gives the least.
+    h is piecewise linear with kinks at -b_i and (1 + lam_i) vmax_i - b_i
+    (lam_i > 0), and h(0) >= 0 >= h(lam @ vmax): the least root is the first
+    knot of [0, lam @ vmax] where h <= 1e-12 * scale or, if h < 0 there, the
+    root of the piece before it.  One debug line gives S and that piece.
     """
+    lam, b = pt.lam, pt.b
+    if np.any(lam < 0.0):
+        raise DomainError("least fixed point needs nonnegative multipliers")
     vmax = np.asarray(pt.vmax, dtype=float)
-    n = pt.n
-    v = np.zeros(n)
-    scale = float(max(1.0, vmax.max()))
-    tol = 1e-12 * scale
-    A = matrix_A(pt.lam)
+    tol = 1e-12 * max(1.0, float(vmax.max()))
 
-    def pattern(raw):
-        return tuple(0 if raw[i] <= 0.0 else (2 if raw[i] >= vmax[i] else 1)
-                     for i in range(n))
+    def v_at(s):
+        return np.minimum(np.maximum((np.asarray(s)[..., None] + b)
+                                     / (1.0 + lam), 0.0), vmax)
 
-    for steps in range(1, FIXED_POINT_MAX_ITER + 1):
-        raw = pt.apply(v)
-        new = np.minimum(np.maximum(raw, 0.0), vmax)
-        if np.max(np.abs(new - v)) < 1e-12:
-            v = new
-            ended = "converged"
-            break
-        v = new
-        pat = pattern(raw)
-        free = [i for i in range(n) if pat[i] == 1]
-        if not free:
-            continue
-        candidate = _affine_solve_on(pt, A, free, new)
-        if candidate is None or np.any(candidate < -tol) \
-                or np.any(candidate > vmax + tol) \
-                or np.any(candidate < v - tol):
-            continue
-        candidate = np.minimum(np.maximum(candidate, 0.0), vmax)
-        raw_c = pt.apply(candidate)
-        same_pattern = pattern(raw_c) == pat
-        is_fixed = np.max(np.abs(np.minimum(np.maximum(raw_c, 0.0), vmax)
-                                 - candidate)) <= tol
-        if same_pattern and is_fixed:
-            v = candidate
-            ended = "solved on its clamp pattern"
-            break
-    else:
-        raise NumericalError("fixed-point iteration did not converge")
-    logger.debug("least fixed point: iterations=%d, %s", steps, ended)
-
-    # Polish the interior coordinates on the exact affine system.
-    free = [i for i in range(n) if tol < v[i] < vmax[i] - tol]
-    if free:
-        sub = A[np.ix_(free, free)]
-        if abs(np.linalg.det(sub)) > 1e-9:
-            polished = _affine_solve_on(pt, A, free, v)
-            clipped = np.minimum(np.maximum(polished, 0.0), vmax)
-            check = np.minimum(np.maximum(pt.apply(clipped), 0.0), vmax)
-            if np.max(np.abs(check - clipped)) <= 1e-9 * scale:
-                v = clipped
-    return v
+    top, pos = float(lam @ vmax), lam > 0.0
+    kinks = np.concatenate([-b[pos], (1.0 + lam[pos]) * vmax[pos] - b[pos]])
+    knots = np.sort(np.concatenate([[0.0, top],
+                                    kinks[(kinks > 0.0) & (kinks < top)]]))
+    h = v_at(knots) @ lam - knots
+    k = int(np.argmax(h <= tol))
+    lo, s = knots[max(k - 1, 0)], knots[k]
+    if h[k] < 0.0:                       # so k >= 1, as h(0) >= 0
+        s = lo + h[k - 1] * (s - lo) / (h[k - 1] - h[k])
+    logger.debug("least fixed point: S=%.6g on piece [%.6g, %.6g]",
+                 s, lo, knots[k])
+    return v_at(s)
 
 
 def lagrangian_on_grid(thresholds, lam, instance: Instance, coords) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 import maxmin_auction as ma
 from maxmin_auction import nature, solve
+from maxmin_auction.improve import AffineThresholds
 
 
 def random_instance(rng, n=None, lo=0.08, hi=0.92, vmax=1.0):
@@ -109,6 +110,32 @@ def random_feasible_mechanism(rng, n, vmax=1.0):
         lsa = ma.corner_hitting(r, [vmax] * n)
         return ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))
     return random_excluded_mechanism(rng, vmax)
+
+
+def random_affine_map(rng, tiny_intercepts=False):
+    """An ``AffineThresholds`` map on n = 2 to 5 bidders, equal bounds or not.
+
+    With w_i = lam_i / (1 + lam_i), sum(w) is drawn at 1 (singular), within
+    1e-12 to 1e-6 of 1 on either side, or away from 1, and each w_i is then
+    capped at 0.95.  About a quarter of the multipliers are zero.
+    ``tiny_intercepts`` scales the intercepts down by 1e-9 to 1e-1, which
+    puts the least fixed point on a nearly flat piece of its scalar equation
+    when sum(w) is close to 1.
+    """
+    n = int(rng.integers(2, 6))
+    vmax = rng.uniform(0.5, 2.0, n) if rng.random() < 0.5 else np.ones(n)
+    kind = int(rng.integers(4 if not tiny_intercepts else 3))
+    near = 10.0 ** rng.uniform(-12, -6)
+    target = (1.0, 1.0 - near, 1.0 + near, rng.uniform(0.1, 1.8))[kind]
+    w = rng.dirichlet(np.ones(n))
+    zero = rng.random(n) < 0.25
+    zero[np.argsort(w)[-2:]] = False
+    w[zero] = 0.0
+    w = np.minimum(w * target / w.sum(), 0.95)
+    b = rng.uniform(-0.6, 1.0, n) * vmax
+    if tiny_intercepts:
+        b *= 10.0 ** rng.uniform(-9, -1)
+    return AffineThresholds(b, w / (1.0 - w), tuple(vmax))
 
 
 def sample_optimal_member(rng, instance):

@@ -1,14 +1,16 @@
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from generators import (random_corner_lsa, random_feasible_mechanism,
-                        random_instance)
+from fixed_point_oracle import clamped, iterated_least_fixed_point
+from generators import (random_affine_map, random_corner_lsa,
+                        random_feasible_mechanism, random_instance)
 from maxmin_auction import nature
-from maxmin_auction.errors import DomainError, FeasibilityError
+from maxmin_auction.errors import DomainError, FeasibilityError, NumericalError
 from maxmin_auction.improve import AffineThresholds
 
 INST64 = ma.Instance(2, [0.64, 0.64], 1.0)
@@ -113,7 +115,7 @@ class TestLeastFixedPoint:
         pt = AffineThresholds(np.array([0.3, -0.1]), np.zeros(2), (1.0, 1.0))
         assert ma.least_fixed_point(pt) == pytest.approx([0.3, 0.0])
 
-    def test_iteration_count_is_logged(self, caplog):
+    def test_root_and_piece_are_logged(self, caplog):
         solved = AffineThresholds(np.array([2 / 15, 2 / 15]),
                                   np.array([2 / 3, 2 / 3]), (1.0, 1.0))
         at_top = AffineThresholds(np.array([2.0, 2.0]), np.zeros(2),
@@ -122,9 +124,28 @@ class TestLeastFixedPoint:
             ma.least_fixed_point(solved)
             ma.least_fixed_point(at_top)
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-            (logging.DEBUG, "least fixed point: iterations=1, solved on its "
-                            "clamp pattern"),
-            (logging.DEBUG, "least fixed point: iterations=2, converged")]
+            (logging.DEBUG, "least fixed point: S=0.533333 on piece "
+                            "[0, 1.33333]"),
+            (logging.DEBUG, "least fixed point: S=0 on piece [0, 0]")]
+
+    def test_rejects_negative_multiplier(self):
+        pt = AffineThresholds(np.array([0.1, 0.1]), np.array([0.5, -0.1]),
+                              (1.0, 1.0))
+        with pytest.raises(DomainError, match="nonnegative"):
+            ma.least_fixed_point(pt)
+
+    @pytest.mark.parametrize("lam, b, expected", [
+        ((1.0, 1.0 - 1e-12), (1e-9, 0.0), (1.0, 1.0)),
+        ((1.0, 1.0 - 1e-9), (1e-6, 0.0), (1.0, 1.0)),
+        ((0.5, 2.0 - 1e-10), (1e-8, -1e-9), (1.0, 0.5 - 1e-9))])
+    def test_near_singular_maps(self, lam, b, expected):
+        """Multipliers within 1e-9 of a singular pair: monotone iteration
+        creeps here and gave up after a million steps.  The expected points
+        are the exact least fixed points, solved in rationals."""
+        pt = AffineThresholds(np.array(b), np.array(lam), (1.0, 1.0))
+        v = ma.least_fixed_point(pt)
+        assert v == pytest.approx(expected, abs=1e-12)
+        assert np.max(np.abs(clamped(pt, v) - v)) <= 1e-12
 
     def test_singular_high_means_map_hits_floor(self):
         """With multiplier product one the fixed points form a segment; the
@@ -162,6 +183,82 @@ class TestLeastFixedPoint:
                     w = w2
                 if converged:          # plain iteration can creep when A is
                     assert np.all(v <= w + 1e-9)   # nearly singular; skip then
+
+
+def iterated_fixed_points(pt, rng, starts=8, steps=500):
+    """Fixed points that plain iteration reaches from random starts; a start
+    still moving after ``steps`` steps is left out."""
+    vmax = np.asarray(pt.vmax)
+    w = rng.uniform(0.0, 1.0, (starts, pt.n)) * vmax
+    for _ in range(steps):
+        nxt = np.minimum(np.maximum((w @ pt.lam)[:, None] - pt.lam * w + pt.b,
+                                    0.0), vmax)
+        moved = np.max(np.abs(nxt - w), axis=1)
+        w = nxt
+        if np.all(moved < 1e-13):
+            break
+    return w[moved < 1e-13]
+
+
+def check_against_iteration(pt, rng, slack, max_iter=5_000):
+    """The closed form is a fixed point, lies below every fixed point that
+    iteration reaches from a random start, and is within ``slack`` of the
+    iterated least fixed point.  A map that the iteration does not finish in
+    ``max_iter`` steps is checked for the first two only; returns whether it
+    finished."""
+    scale = max(1.0, max(pt.vmax))
+    v = ma.least_fixed_point(pt)
+    assert np.max(np.abs(clamped(pt, v) - v)) <= 1e-12 * scale
+    for w in iterated_fixed_points(pt, rng):
+        assert np.all(v <= w + slack)
+    try:
+        ref = iterated_least_fixed_point(pt, max_iter)
+    except NumericalError:
+        return False
+    assert np.max(np.abs(v - ref)) <= slack
+    return True
+
+
+class TestAgainstIteration:
+    """``least_fixed_point`` against the monotone iteration it replaced."""
+
+    def test_pipeline_maps(self, rng):
+        finished = 0
+        for trial in range(120):
+            n = 2 if trial % 2 == 0 else 3
+            inst = random_instance(rng, n=n)
+            gm = random_feasible_mechanism(rng, n)
+            _, _, cert, _ = nature.mechanism_guarantee(gm, inst)
+            split, lam = ma.grand_case_split(gm, cert.lam)
+            pt = ma.tilde_transform(split, lam)
+            finished += check_against_iteration(pt, rng, 1e-12)
+        assert finished == 120
+
+    def test_random_maps(self, rng):
+        finished = 0
+        for _ in range(1_000):
+            pt = random_affine_map(rng)
+            finished += check_against_iteration(
+                pt, rng, 1e-12 * max(1.0, max(pt.vmax)))
+        assert finished >= 990
+
+    def test_nearly_flat_roots(self, rng):
+        """Tiny intercepts with sum(lam / (1 + lam)) near 1 put the root on
+        a piece of h with slope -gap close to 0.  Two roots within the
+        residual tolerance of such a piece lie up to tolerance / gap apart,
+        so that is the slack; the routes differed by up to 5e-8 on these.
+        The iteration creeps on about half of them, so it gets 300 steps."""
+        finished = 0
+        for _ in range(60):
+            pt = random_affine_map(rng, tiny_intercepts=True)
+            scale = max(1.0, max(pt.vmax))
+            v = ma.least_fixed_point(pt)
+            free = (v > 1e-12 * scale) & (v < np.subtract(pt.vmax,
+                                                          1e-12 * scale))
+            gap = abs(1.0 - np.sum(pt.lam[free] / (1.0 + pt.lam[free])))
+            slack = 1e-12 * scale / min(1.0, gap) if gap > 0.0 else np.inf
+            finished += check_against_iteration(pt, rng, slack, 300)
+        assert finished >= 20
 
 
 class TestLagrangianOnGrid:
@@ -300,6 +397,23 @@ class TestDominatingLsa:
         r = [out.reserve(i) for i in range(2)]
         value, _ = ma.lsa_guarantee(r, inst)
         assert value >= 0.0375 - 1e-9
+
+    def test_near_singular_three_bidder_reserves(self):
+        """Nature's multipliers here make the minorant map nearly singular:
+        monotone iteration took 186,985 steps and about 14 s on this input."""
+        inst = ma.Instance(3, [0.9172663132876794, 0.8632910464440933,
+                               0.567934521954772], 1.0)
+        lsa = ma.corner_hitting([0.562418436216321, 0.4375156068316928,
+                                 2.8756935570187846e-05], inst.vmax)
+        start = time.perf_counter()
+        out, audit = ma.dominating_lsa(lsa, inst)
+        assert time.perf_counter() - start < 3.0
+        r = [out.reserve(i) for i in range(3)]
+        assert r == pytest.approx([0.5624058523496, 0.4374994310391, 0.0],
+                                  abs=1e-9)
+        assert ma.lsa_guarantee(r, inst)[0] >= audit.input_guarantee - 1e-9
+        assert audit.value_minorant >= audit.value_input - 1e-9
+        assert audit.value_output >= audit.value_minorant - 1e-9
 
     def test_rejects_infeasible(self):
         gm = ma.GridMechanism([[0.0, 1.0], [0.0, 1.0]],
