@@ -15,9 +15,8 @@ from .dual import (lsa2_asym_guarantee, lsa2_asym_lagrangian, lsa_guarantee,
 from .errors import (BoundaryError, DomainError, FeasibilityError,
                      InfeasibleError, NumericalError, RegimeError, SizeError,
                      UnboundedError)
-from .improve import (AffineThresholds, det_A, dominating_lsa,
-                      grand_case_split, lagrangian_on_grid, least_fixed_point,
-                      matrix_A, tilde_transform)
+from .improve import (AffineThresholds, dominating_lsa, grand_case_split,
+                      lagrangian_on_grid, least_fixed_point, tilde_transform)
 from .nature import (DualCertificate, WorstCaseType, breakpoint_coords,
                      brute_force_min, dual_value, lower_revenue_table,
                      lsa2_dual_multipliers, lsa2_guarantee,
@@ -37,11 +36,11 @@ __all__ = [
     "LinearScoreAuction", "NumericalError", "OptimalSolution", "Regime",
     "RegimeError", "ReserveSet", "SizeError", "UnboundedError",
     "WorstCaseType", "asymmetric2_solve", "breakpoint_coords",
-    "brute_force_min", "check_feasible", "corner_hitting", "det_A",
+    "brute_force_min", "check_feasible", "corner_hitting",
     "dominating_lsa", "dual_value", "grand_case_split", "grid_from_lsa",
     "lagrangian_on_grid", "least_fixed_point", "lower_revenue_table",
     "lsa2_asym_guarantee", "lsa2_asym_lagrangian", "lsa2_dual_multipliers",
-    "lsa2_guarantee", "lsa_guarantee", "lsa_lagrangian", "matrix_A",
+    "lsa2_guarantee", "lsa_guarantee", "lsa_lagrangian",
     "mechanism_guarantee", "member", "optimal_lambda", "optimal_reserves",
     "regime", "reserve_is_optimal", "revenue", "symmetric_reserve_set",
     "tilde_transform", "wcdistr2_classify", "wcdistr2_construct",

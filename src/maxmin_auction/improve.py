@@ -4,7 +4,9 @@ Pipeline: take the dual multipliers of Nature's problem, exclude the bidders
 whose multipliers are not positive and zero those multipliers, replace each
 threshold function by its affine minorant with the multiplier slopes, and
 read the new generalized reserves off the least fixed point of the resulting
-monotone map, found exactly as the least root of one scalar equation.
+monotone map, found exactly as the least root of one scalar equation.  The
+audit evaluates each step on one grid that also holds a point on the fixed
+point's curve just inside the minorant's no-sale region.
 """
 
 from __future__ import annotations
@@ -41,30 +43,18 @@ class AffineThresholds:
         raw = float(lam_others @ np.asarray(v_others, dtype=float) + self.b[i])
         return max(raw, 0.0)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        total = float(self.lam @ v)
-        return np.maximum(total - self.lam * v + self.b, 0.0)
+    def curve(self, s) -> np.ndarray:
+        """v(S) = clip((S + b) / (1 + lam), 0, vmax): each bidder's solution
+        of v_i = clip(p_i(v_{-i}), 0, vmax_i) given S = lam @ v, one row per
+        entry of ``s``."""
+        return np.minimum(np.maximum((np.asarray(s)[..., None] + self.b)
+                                     / (1.0 + self.lam), 0.0),
+                          np.asarray(self.vmax, dtype=float))
 
     def tables(self, coords) -> list[np.ndarray]:
         """p_i on the product of bidder i's rival coordinate lists, each i."""
         return [np.maximum(sum(self.lam[j] * a for j, a in rival_axes(coords, i))
                            + self.b[i], 0.0) for i in range(self.n)]
-
-
-def matrix_A(lam) -> np.ndarray:
-    """Ones on the diagonal, -lam_j off it; governs the fixed-point geometry."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[0]
-    A = -np.tile(lam, (n, 1))
-    np.fill_diagonal(A, 1.0)
-    return A
-
-
-def det_A(lam) -> float:
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise DomainError("determinant formula requires nonnegative multipliers")
-    return float((1.0 - np.sum(lam / (1.0 + lam))) * np.prod(1.0 + lam))
 
 
 def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarray]:
@@ -103,9 +93,9 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     """Least fixed point of v -> clip(pt(v), 0, vmax), exactly.
 
     With S = lam @ v, bidder i's equation v_i = clip(S - lam_i v_i + b_i, 0,
-    vmax_i) has one solution v_i(S) = clip((S + b_i) / (1 + lam_i), 0,
-    vmax_i), nondecreasing in S as lam >= 0.  So the fixed points are v(S) at
-    the roots of h(S) = lam @ v(S) - S, and the least root gives the least.
+    vmax_i) has one solution v_i(S), ``pt.curve(S)``, nondecreasing in S
+    as lam >= 0.  So the fixed points are v(S) at the roots of
+    h(S) = lam @ v(S) - S, and the least root gives the least.
     h is piecewise linear with kinks at -b_i and (1 + lam_i) vmax_i - b_i
     (lam_i > 0), and h(0) >= 0 >= h(lam @ vmax): the least root is the first
     knot of [0, lam @ vmax] where h <= 1e-12 * scale or, if h < 0 there, the
@@ -117,22 +107,18 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     vmax = np.asarray(pt.vmax, dtype=float)
     tol = 1e-12 * max(1.0, float(vmax.max()))
 
-    def v_at(s):
-        return np.minimum(np.maximum((np.asarray(s)[..., None] + b)
-                                     / (1.0 + lam), 0.0), vmax)
-
     top, pos = float(lam @ vmax), lam > 0.0
     kinks = np.concatenate([-b[pos], (1.0 + lam[pos]) * vmax[pos] - b[pos]])
     knots = np.sort(np.concatenate([[0.0, top],
                                     kinks[(kinks > 0.0) & (kinks < top)]]))
-    h = v_at(knots) @ lam - knots
+    h = pt.curve(knots) @ lam - knots
     k = int(np.argmax(h <= tol))
     lo, s = knots[max(k - 1, 0)], knots[k]
     if h[k] < 0.0:                       # so k >= 1, as h(0) >= 0
         s = lo + h[k - 1] * (s - lo) / (h[k - 1] - h[k])
     logger.debug("least fixed point: S=%.6g on piece [%.6g, %.6g]",
                  s, lo, knots[k])
-    return v_at(s)
+    return pt.curve(s)
 
 
 def lagrangian_on_grid(thresholds, lam, instance: Instance, coords) -> float:
@@ -195,7 +181,7 @@ def dominating_lsa(mech: Mechanism, instance: Instance
     vstar = least_fixed_point(pt)
     out = corner_hitting(vstar, instance.vmax)
 
-    coords = _audit_coords(grid, pt, vstar, instance)
+    coords = _audit_coords(grid, pt, vstar)
     audit = ImprovementAudit(
         lambda_raw=lam_raw.copy(),
         lam=lam.copy(),
@@ -208,58 +194,19 @@ def dominating_lsa(mech: Mechanism, instance: Instance
     return out, audit
 
 
-def _audit_coords(grid, pt: AffineThresholds, vstar: np.ndarray,
-                  instance: Instance):
+def _audit_coords(grid, pt: AffineThresholds, vstar: np.ndarray):
     """Shared evaluation grid: mechanism breakpoints, the fixed point, and a
-    point just inside the minorant's no-sale region when one exists."""
-    n = instance.n
-    scale = max(1.0, max(instance.vmax))
-    extra = [[float(vstar[i])] for i in range(n)]
-    if np.all(vstar > 1e-12):
-        direction = _descent_direction(pt, vstar)
-        if direction is not None:
-            # slack inside the no-sale region stays eps (A d = 1 on the free
-            # block); keep the revenue perturbation below the chain tolerance
-            eps = min(1e-10 * scale,
-                      5e-10 * scale / max(1.0, float(pt.lam @ direction)))
-            inside = vstar - eps * direction
-            if np.all(inside > 0.0):
-                for i in range(n):
-                    extra[i].append(float(inside[i]))
-    coords = []
-    for i in range(n):
-        merged = np.concatenate([grid[i], np.asarray(extra[i])])
-        coords.append(nature.dedup_sorted(merged, 1e-13 * scale,
-                                          snap=(0.0, instance.vmax[i])))
-    return coords
+    point w just inside the minorant's no-sale region when it is positive.
 
-
-def _descent_direction(pt: AffineThresholds, vstar: np.ndarray):
-    """Direction d > 0 with A d > 0 on the unclamped block, if one exists."""
-    n = pt.n
-    vmax = np.asarray(pt.vmax)
-    A = matrix_A(pt.lam)
-    free = [i for i in range(n) if vstar[i] < vmax[i] - 1e-12]
-    clamped = [i for i in range(n) if i not in free]
-    d = np.zeros(n)
-    if free:
-        sub = A[np.ix_(free, free)]
-        if abs(np.linalg.det(sub)) < 1e-9:
-            return None
-        d_free = np.linalg.solve(sub, np.ones(len(free)))
-        if np.any(d_free <= 0.0):
-            return None
-        d[free] = d_free
-    for _ in range(10):
-        changed = False
-        for j in clamped:
-            lam_others = drop(pt.lam, j)
-            need = float(lam_others @ drop(d, j)) + 1.0
-            if d[j] < need:
-                d[j] = need
-                changed = True
-        if not changed:
-            break
-    else:
-        return None
-    return d
+    w = v(S - delta) on the fixed point's own curve, S = lam @ vstar.  As
+    h(S) = lam @ v(S) - S is positive left of its least root, pt_i(w) is
+    w_i + h(S - delta) for a free bidder and above vmax_i for one clamped at
+    the top, so every bidder stays below her minorant threshold, while
+    lam @ (vstar - w) stays in [0, delta], below the audit chain's tolerance.
+    """
+    scale = max(1.0, max(pt.vmax))
+    inside = pt.curve(float(pt.lam @ vstar) - 1e-10 * scale)
+    extra = np.stack([vstar, inside]) if np.all(inside > 0.0) else vstar[None]
+    return [nature.dedup_sorted(np.concatenate([grid[i], extra[:, i]]),
+                                1e-13 * scale, snap=(0.0, pt.vmax[i]))
+            for i in range(pt.n)]

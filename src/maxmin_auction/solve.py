@@ -182,29 +182,22 @@ def gamma_equation_residual(gamma: float, instance: Instance) -> float:
 
 
 def _bisect_gamma(instance: Instance) -> float:
-    lo, hi = 1e-9, 1e9
-    f_lo = gamma_equation_residual(lo, instance)
-    f_hi = gamma_equation_residual(hi, instance)
-    guard = 0
-    while f_lo < 0.0 and lo > 1e-300:
-        lo *= 0.5
-        f_lo = gamma_equation_residual(lo, instance)
-        guard += 1
-        if guard > 2000:
-            raise NumericalError("no bracket below")
-    while f_hi > 0.0 and hi < 1e300:
-        hi *= 2.0
-        f_hi = gamma_equation_residual(hi, instance)
-        guard += 1
-        if guard > 4000:
-            raise NumericalError("no bracket above")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    """Root of the residual, which decreases in gamma, bisected to 1e-12 or
+    to adjacent floats.  At sqrt((v2 - m2) / (v1 - m1)) its last two terms
+    cancel, leaving (v1 - v2) / (gamma + 1)**2 >= 0; at
+    sqrt((v1 - m2) / (v1 - m1)) they sum to -(v1 - v2) / gamma**2, which
+    outweighs the first."""
+    v1, v2 = instance.vmax
+    m1, m2 = instance.means
+    lo, hi = math.sqrt((v2 - m2) / (v1 - m1)), math.sqrt((v1 - m2) / (v1 - m1))
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-12 and lo < mid < hi:
         if gamma_equation_residual(mid, instance) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def asymmetric2_solve(instance: Instance) -> Asym2Solution:

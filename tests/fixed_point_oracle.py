@@ -15,14 +15,27 @@ from __future__ import annotations
 import numpy as np
 
 from maxmin_auction.errors import NumericalError
-from maxmin_auction.improve import AffineThresholds, matrix_A
+from maxmin_auction.improve import AffineThresholds
 
 FIXED_POINT_MAX_ITER = 1_000_000
 
 
+def matrix_A(lam) -> np.ndarray:
+    """Ones on the diagonal, -lam_j off it: v = pt(v) reads A v = b."""
+    lam = np.asarray(lam, dtype=float)
+    A = -np.tile(lam, (lam.shape[0], 1))
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+def raw_step(pt: AffineThresholds, v: np.ndarray) -> np.ndarray:
+    """pt(v) before clipping: lam_{-i} @ v_{-i} + b_i for each i."""
+    return float(pt.lam @ v) - pt.lam * v + pt.b
+
+
 def clamped(pt: AffineThresholds, v: np.ndarray) -> np.ndarray:
     """One step of the map: clip(pt(v), 0, vmax)."""
-    return np.minimum(np.maximum(pt.apply(v), 0.0), np.asarray(pt.vmax))
+    return np.minimum(np.maximum(raw_step(pt, v), 0.0), np.asarray(pt.vmax))
 
 
 def _affine_solve_on(pt: AffineThresholds, A: np.ndarray, free: list[int],
@@ -57,7 +70,7 @@ def iterated_least_fixed_point(pt: AffineThresholds,
                      for i in range(n))
 
     for _ in range(max_iter):
-        raw = pt.apply(v)
+        raw = raw_step(pt, v)
         new = np.minimum(np.maximum(raw, 0.0), vmax)
         if np.max(np.abs(new - v)) < 1e-12:
             v = new
@@ -73,7 +86,7 @@ def iterated_least_fixed_point(pt: AffineThresholds,
                 or np.any(candidate < v - tol):
             continue
         candidate = np.minimum(np.maximum(candidate, 0.0), vmax)
-        raw_c = pt.apply(candidate)
+        raw_c = raw_step(pt, candidate)
         same_pattern = pattern(raw_c) == pat
         is_fixed = np.max(np.abs(np.minimum(np.maximum(raw_c, 0.0), vmax)
                                  - candidate)) <= tol
@@ -90,7 +103,7 @@ def iterated_least_fixed_point(pt: AffineThresholds,
         if abs(np.linalg.det(sub)) > 1e-9:
             polished = _affine_solve_on(pt, A, free, v)
             clipped = np.minimum(np.maximum(polished, 0.0), vmax)
-            check = np.minimum(np.maximum(pt.apply(clipped), 0.0), vmax)
+            check = clamped(pt, clipped)
             if np.max(np.abs(check - clipped)) <= 1e-9 * scale:
                 v = clipped
     return v

@@ -11,7 +11,7 @@ from generators import (random_affine_map, random_corner_lsa,
                         random_feasible_mechanism, random_instance)
 from maxmin_auction import nature
 from maxmin_auction.errors import DomainError, FeasibilityError, NumericalError
-from maxmin_auction.improve import AffineThresholds
+from maxmin_auction.improve import AffineThresholds, _audit_coords
 
 INST64 = ma.Instance(2, [0.64, 0.64], 1.0)
 
@@ -75,34 +75,6 @@ class TestTildeTransform:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             ma.tilde_transform(lsa_grid([0.4, 0.4]), np.array([-0.1, 0.2]))
-
-
-class TestMatrixA:
-    def test_singular_at_unit_pair(self):
-        assert ma.det_A([1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_known_value(self):
-        assert ma.det_A([2 / 3, 2 / 3]) == pytest.approx(5 / 9, abs=1e-12)
-
-    def test_identity(self):
-        assert ma.det_A([0.0, 0.0, 0.0]) == 1.0
-        assert ma.matrix_A([0.0, 0.0, 0.0]) == pytest.approx(np.eye(3))
-
-    def test_formula_matches_elimination(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            lam = rng.uniform(0.0, 3.0, n)
-            lhs = ma.det_A(lam)
-            rhs = float(np.linalg.det(ma.matrix_A(lam)))
-            assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-
-    def test_inverse_nonnegative_when_det_positive(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(2, 5))
-            lam = rng.uniform(0.0, 2.0, n)
-            if ma.det_A(lam) > 1e-9:
-                inv = np.linalg.inv(ma.matrix_A(lam))
-                assert np.all(inv >= -1e-9)
 
 
 class TestLeastFixedPoint:
@@ -170,13 +142,12 @@ class TestLeastFixedPoint:
             split, lam = ma.grand_case_split(gm, cert.lam)
             pt = ma.tilde_transform(split, lam)
             v = ma.least_fixed_point(pt)
-            clamp = np.minimum(np.maximum(pt.apply(v), 0.0), 1.0)
-            assert np.max(np.abs(clamp - v)) <= 1e-9
+            assert np.max(np.abs(clamped(pt, v) - v)) <= 1e-9
             for _ in range(10):
                 w = rng.uniform(0.0, 1.0, n)
                 converged = False
                 for _ in range(30_000):
-                    w2 = np.minimum(np.maximum(pt.apply(w), 0.0), 1.0)
+                    w2 = clamped(pt, w)
                     if np.max(np.abs(w2 - w)) < 1e-13:
                         converged = True
                         break
@@ -259,6 +230,30 @@ class TestAgainstIteration:
             slack = 1e-12 * scale / min(1.0, gap) if gap > 0.0 else np.inf
             finished += check_against_iteration(pt, rng, slack, 300)
         assert finished >= 20
+
+
+class TestAuditCoords:
+    def test_node_inside_minorant_no_sale_region(self, rng):
+        """With a positive fixed point, the audit grid holds a node strictly
+        below every minorant threshold with lam @ v >= lam @ v* - delta, so
+        the grid sees the minorant's no-sale region reach up to v*."""
+        checked = 0
+        for _ in range(1_000):
+            pt = random_affine_map(rng)
+            vstar = ma.least_fixed_point(pt)
+            if not np.all(vstar > 0.0):
+                continue
+            delta = 1e-10 * max(1.0, max(pt.vmax))
+            coords = _audit_coords([[0.0, v] for v in pt.vmax], pt, vstar)
+            grids = np.meshgrid(*coords, indexing="ij", sparse=True)
+            tables = [np.expand_dims(p, axis=i)
+                      for i, p in enumerate(pt.tables(coords))]
+            inside = np.all([g < p for g, p in zip(grids, tables)], axis=0)
+            near = sum(lam * g for lam, g in zip(pt.lam, grids)) \
+                >= float(pt.lam @ vstar) - delta
+            assert np.any(inside & near)
+            checked += 1
+        assert checked >= 500
 
 
 class TestLagrangianOnGrid:
@@ -463,6 +458,19 @@ class TestDominatingLsa:
                           "fixed_point"):
                 assert np.asarray(getattr(a, field)) == pytest.approx(
                     np.asarray(getattr(b, field)), abs=1e-12), field
+
+    def test_output_value_matches_closed_form(self, rng):
+        """At equal bounds the audit's R(p^, lam) on its grid is the exact
+        Lagrangian of the output reserve auction at the audit's lam."""
+        for trial in range(40):
+            n = 2 if trial % 2 == 0 else 3
+            inst = random_instance(rng, n=n)
+            mech = (random_feasible_mechanism(rng, n) if trial % 4 < 2
+                    else random_corner_lsa(rng, inst))
+            out, audit = ma.dominating_lsa(mech, inst)
+            r = [out.reserve(i) for i in range(n)]
+            assert audit.value_output == pytest.approx(
+                ma.lsa_lagrangian(r, audit.lam, inst), abs=1e-9)
 
     def test_pointwise_ordering(self, rng):
         """Minorant below the input thresholds, output thresholds above the

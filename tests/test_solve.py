@@ -7,7 +7,7 @@ import maxmin_auction as ma
 from generators import random_instance
 from maxmin_auction import Regime, nature
 from maxmin_auction.errors import DomainError
-from maxmin_auction.solve import gamma_equation_residual
+from maxmin_auction.solve import _bisect_gamma, gamma_equation_residual
 
 
 class TestRegime:
@@ -199,6 +199,41 @@ class TestAsymmetric2:
         ref = ma.optimal_reserves(inst)
         assert sol.reserves == pytest.approx(ref.reserves_canonical, abs=1e-12)
         assert sol.guarantee == pytest.approx(ref.guarantee, abs=1e-12)
+
+    def test_gamma_bracket_signs(self, rng):
+        """The residual is >= 0 at sqrt((v2 - m2) / (v1 - m1)) and <= 0 at
+        sqrt((v1 - m2) / (v1 - m1)), and the root lies between the two."""
+        checked = 0
+        while checked < 200:
+            v1 = rng.uniform(1.0, 3.0)
+            v2 = rng.uniform(0.5, v1)
+            m1, m2 = rng.uniform(0.0, 1.0, 2) * (v1, v2)
+            inst = ma.Instance(2, [m1, m2], [v1, v2])
+            if ma.asymmetric2_solve(inst).regime is not Regime.HIGH_MEANS:
+                continue
+            lo = math.sqrt((v2 - m2) / (v1 - m1))
+            hi = math.sqrt((v1 - m2) / (v1 - m1))
+            assert gamma_equation_residual(lo, inst) >= 0.0
+            assert gamma_equation_residual(hi, inst) <= 0.0
+            assert lo - 1e-12 <= _bisect_gamma(inst) <= hi + 1e-12
+            checked += 1
+
+    def test_gamma_at_equal_bounds(self, rng):
+        for _ in range(100):
+            inst = random_instance(rng, n=2)
+            v = inst.common_vmax()
+            m1, m2 = inst.means
+            assert _bisect_gamma(inst) == pytest.approx(
+                math.sqrt((v - m2) / (v - m1)), abs=1e-12)
+
+    def test_steep_gamma_returns(self):
+        """gamma near 3e4, where floats are 4e-12 apart: bisecting to a
+        1e-12 bracket never ended."""
+        inst = ma.Instance(2, [2.0 - 1e-9, 0.9], [2.0, 1.0])
+        gamma = _bisect_gamma(inst)
+        assert gamma == pytest.approx(33165.3374, rel=1e-8)
+        assert gamma_equation_residual(gamma * (1 - 1e-15), inst) > 0.0
+        assert gamma_equation_residual(gamma * (1 + 1e-15), inst) < 0.0
 
     def test_rejects_wrong_order(self):
         with pytest.raises(DomainError):
