@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core, dual, improve, nature, optset, solve
 from .core import GridMechanism, Instance, LinearScoreAuction, corner_hitting
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError
 
 
 def _fmt(obj) -> str:
@@ -71,14 +71,6 @@ def _parse_mechanism(data, instance: Instance):
     raise DomainError(f"unknown mechanism type {kind!r}")
 
 
-def _feasible(mech):
-    """The mechanism, unless it has two strict winners at one of its nodes."""
-    bad = core.check_feasible(mech)
-    if bad:
-        raise FeasibilityError(f"supply violated at {bad.values}")
-    return mech
-
-
 def _distribution_json(dist) -> dict:
     return {"atoms": [list(a) for a in dist.atoms],
             "probs": list(dist.probs)}
@@ -112,7 +104,8 @@ def cmd_optimal(args) -> dict:
 
 def cmd_evaluate(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
-    mech = _feasible(_parse_mechanism(_load_json(args.mechanism), instance))
+    mech = _parse_mechanism(_load_json(args.mechanism), instance)
+    core.check_feasible(mech)
     step = args.grid_step
     if step is None and isinstance(mech, GridMechanism):
         step = 0.05 * min(instance.vmax)
@@ -168,7 +161,8 @@ def cmd_improve(args) -> dict:
 def cmd_member(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
     mech = _parse_mechanism(_load_json(args.mechanism), instance)
-    ok, witness = optset.member(_feasible(mech), instance)
+    core.check_feasible(mech)
+    ok, witness = optset.member(mech, instance)
     return {"member": ok,
             "witness": None if witness is None else dataclasses.asdict(witness)}
 

@@ -134,15 +134,11 @@ class LinearScoreAuction:
 
         ``v_others`` lists the other bidders' values in increasing index order.
         """
-        if self.excluded[i]:
-            return self.vmax[i]
         rivals = [j for j in range(self.n) if j != i]
-        best = 0.0
         for j, w in zip(rivals, v_others):
-            if not self.excluded[j]:
-                best = max(best, self.score(j, w))
-        p = (self.alphas[i] + best) / self.betas[i]
-        return float(min(max(p, 0.0), self.vmax[i]))
+            if not (self.excluded[i] or self.excluded[j]):
+                self.score(j, w)         # DomainError outside [0, vmax_j]
+        return table_node(self, i, v_others)
 
     def payment(self, v: Sequence[float]) -> np.ndarray:
         """Per-bidder transfers at profile v: the winner pays her threshold."""
@@ -203,13 +199,6 @@ def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
 
 
 @dataclass(frozen=True)
-class SupplyViolation:
-    node: tuple[int, ...]
-    values: tuple[float, ...]
-    bidders: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GridMechanism:
     """Thresholds tabulated on per-bidder coordinate grids.
 
@@ -256,16 +245,13 @@ class GridMechanism:
         return multilinear(self.thresholds[i].ravel(), self.thresholds[i].shape, cells)
 
     def allocate(self, v: Sequence[float]) -> Optional[int]:
-        strict = [i for i in range(self.n)
-                  if v[i] > self.threshold(i, drop(v, i)) + COMP_TOL]
+        p = [self.threshold(i, drop(v, i)) for i in range(self.n)]
+        strict = [i for i in range(self.n) if v[i] > p[i] + COMP_TOL]
         if len(strict) > 1:
             raise FeasibilityError(f"two strict winners {strict} at {tuple(v)}")
         if strict:
             return strict[0]
-        for i in range(self.n):
-            if v[i] >= self.threshold(i, drop(v, i)) - COMP_TOL:
-                return i
-        return None
+        return next((i for i in range(self.n) if v[i] >= p[i] - COMP_TOL), None)
 
     payment = LinearScoreAuction.payment
 
@@ -339,29 +325,34 @@ def multilinear(flat: Sequence[float], shape: Sequence[int],
     return total
 
 
+def table_node(mech, i: int, v_others: Sequence[float]) -> float:
+    """p_i at one rival profile: the node of ``mech.tables`` on the
+    one-point grid at ``v_others`` (bidder i's own point is never read)."""
+    if len(v_others) != mech.n - 1:
+        raise DomainError(f"need {mech.n - 1} rival values")
+    coords = [[x] for x in v_others]
+    coords.insert(i, [0.0])
+    return mech.tables(coords)[i].item()
+
+
 def revenue(mech: Mechanism, v: Sequence[float]) -> float:
     """Total transfer collected at profile v."""
     return float(np.sum(mech.payment(v)))
 
 
-def check_feasible(mech: Mechanism) -> Optional[SupplyViolation]:
-    """Two strict winners at a grid mechanism's own nodes (not between them,
-    where they can remain); ``None`` for a score auction, feasible as built."""
+def check_feasible(mech: Mechanism) -> None:
+    """Raise ``FeasibilityError`` at the first node of a grid mechanism's own
+    grid with two strict winners (between nodes they can remain); a score
+    auction is feasible as built."""
     if isinstance(mech, LinearScoreAuction):
-        return None
-    n = mech.n
-    grids = np.meshgrid(*mech.coords, indexing="ij")
-    wins = np.zeros(grids[0].shape, dtype=int)
-    for i in range(n):
-        wins += grids[i] > np.expand_dims(mech.thresholds[i], axis=i) + COMP_TOL
+        return
+    grids = np.meshgrid(*mech.coords, indexing="ij", sparse=True)
+    wins = sum(g > np.expand_dims(t, axis=i) + COMP_TOL
+               for i, (g, t) in enumerate(zip(grids, mech.thresholds)))
     bad = np.argwhere(wins >= 2)
-    if bad.size == 0:
-        return None
-    node = tuple(int(k) for k in bad[0])
-    values = tuple(float(mech.coords[i][node[i]]) for i in range(n))
-    bidders = tuple(i for i in range(n)
-                    if values[i] > mech.threshold(i, drop(values, i)) + COMP_TOL)
-    return SupplyViolation(node=node, values=values, bidders=bidders)
+    if bad.size:
+        values = tuple(float(c[k]) for c, k in zip(mech.coords, bad[0]))
+        raise FeasibilityError(f"supply violated at {values}")
 
 
 def grid_from_lsa(lsa: LinearScoreAuction, coords) -> GridMechanism:

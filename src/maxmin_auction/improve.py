@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import nature
 from .core import (GridMechanism, Instance, LinearScoreAuction, Mechanism,
-                   check_compatible, check_feasible, corner_hitting, drop,
-                   rival_axes)
-from .errors import DomainError, FeasibilityError
+                   check_compatible, check_feasible, corner_hitting,
+                   rival_axes, table_node)
+from .errors import DomainError
 
 logger = logging.getLogger(__name__)
 
@@ -38,10 +37,7 @@ class AffineThresholds:
     def n(self) -> int:
         return len(self.b)
 
-    def threshold(self, i: int, v_others: Sequence[float]) -> float:
-        lam_others = drop(self.lam, i)
-        raw = float(lam_others @ np.asarray(v_others, dtype=float) + self.b[i])
-        return max(raw, 0.0)
+    threshold = table_node
 
     def curve(self, s) -> np.ndarray:
         """v(S) = clip((S + b) / (1 + lam), 0, vmax): each bidder's solution
@@ -169,10 +165,7 @@ def dominating_lsa(mech: Mechanism, instance: Instance
                    ) -> tuple[LinearScoreAuction, ImprovementAudit]:
     """A corner-hitting auction whose guarantee weakly beats ``mech``'s:
     Nature prices ``mech`` itself; later steps read its tables on that grid."""
-    violation = check_feasible(mech)
-    if violation is not None:
-        raise FeasibilityError(f"supply violated at {violation.values}")
-
+    check_feasible(mech)
     guarantee, _, cert, grid = nature.mechanism_guarantee(mech, instance)
     mech = GridMechanism(grid, mech.tables(grid))
     lam_raw = cert.lam

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Instance
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 
 class Regime(enum.Enum):
@@ -43,13 +43,10 @@ def optimal_lambda(instance: Instance) -> tuple[np.ndarray, Optional[int], froze
         lam = np.sqrt(vmax / (vmax - m)) - 1.0
         return lam, None, frozenset()
 
-    k_star = None
-    for k in range(1, n):                     # cutoff rank, 1-based as sorted
-        if roots[k:].sum() / roots[k - 1] > n - k - 1:
-            k_star = k
-            break
-    if k_star is None:
-        raise NumericalError("no cutoff rank found; means out of range")
+    # cutoff rank, 1-based as sorted; k = n - 1 always qualifies, as every
+    # mean is below vmax
+    k_star = next(k for k in range(1, n)
+                  if roots[k:].sum() / roots[k - 1] > n - k - 1)
     tail = roots[k_star - 1:]
     level = tail.sum() / (n - k_star)
     lam_sorted = np.zeros(n)

@@ -55,6 +55,16 @@ class TestScore:
         with pytest.raises(DomainError):
             lsa_04().score(0, 1.5)
 
+    def test_threshold_rejects_rival_out_of_range(self):
+        with pytest.raises(DomainError):
+            lsa_04().threshold(0, [1.5])
+
+    @pytest.mark.parametrize("rivals", [[0.9], [0.9, 0.95, 0.99]])
+    def test_threshold_rejects_wrong_rival_count(self, rivals):
+        lsa = ma.corner_hitting([0.3, 0.4, 0.5], [1.0] * 3)
+        with pytest.raises(DomainError):
+            lsa.threshold(0, rivals)
+
 
 class TestCornerHitting:
     def test_formulas(self):
@@ -173,9 +183,8 @@ class TestCheckFeasible:
     def test_constant_low_thresholds_violate(self):
         gm = ma.GridMechanism([[0.0, 1.0], [0.0, 1.0]],
                               [np.array([0.2, 0.2]), np.array([0.3, 0.3])])
-        violation = ma.check_feasible(gm)
-        assert violation is not None
-        assert violation.values == (1.0, 1.0)
+        with pytest.raises(FeasibilityError, match=r"\(1\.0, 1\.0\)"):
+            ma.check_feasible(gm)
 
     def test_spa_with_reserve_thresholds_ok(self):
         c = np.array([0.0, 0.4, 0.7, 1.0])

@@ -129,6 +129,25 @@ class TestWorstCaseLP:
         assert fine <= default + 1e-9
 
 
+@pytest.mark.parametrize("m", [0.3, 0.64, 0.9])
+def test_second_price_without_reserve_optimal_for_enough_bidders(m):
+    """The paper's last claim through Nature's LP: with n symmetric bidders,
+    the auction without reserves reaches the optimal guarantee exactly when
+    n >= 1 / (1 - sqrt(1 - m / vmax)); below that it falls short."""
+    switch = 1.0 / (1.0 - np.sqrt(1.0 - m))
+    for n in range(2, 9):
+        inst = ma.Instance(n, [m] * n, 1.0)
+        zeros = np.zeros(n)
+        value, *_ = nature.mechanism_guarantee(
+            ma.corner_hitting(zeros, inst.vmax), inst)
+        assert abs(value - ma.lsa_guarantee(zeros, inst)[0]) <= 1e-9
+        best = ma.optimal_reserves(inst).guarantee
+        if n >= switch:
+            assert abs(value - best) <= 1e-9
+        else:
+            assert value < best - 1e-6
+
+
 class TestBruteForce:
     def test_matches_lp_on_spa(self):
         inst = ma.Instance(2, [0.6, 0.7], 1.0)

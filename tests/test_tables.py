@@ -3,7 +3,10 @@ type-dispatching ``threshold_tables`` with its separate LSA routine, and the
 per-node loops of ``grid_from_lsa``, ``grand_case_split`` and
 ``tilde_transform``.  Same tables, the same bits; ``tilde_transform``'s
 intercepts within one ulp of the largest term, because the old loop took
-``lam @ w`` as a dot product, which may fuse a multiply and an add."""
+``lam @ w`` as a dot product, which may fuse a multiply and an add.  The
+scalar ``threshold`` of a score auction and of affine thresholds, which now
+read one node of ``tables``, against the scalar rules they replaced: the
+same bits, and within two ulp of the terms' magnitude for the dot product."""
 
 import itertools
 
@@ -72,6 +75,26 @@ def reference_threshold_tables(mech, coords):
     return tables
 
 
+def reference_lsa_threshold(lsa, i, v_others):
+    """The scalar rule: (alpha_i + max(0, included rival scores)) / beta_i,
+    clipped to [0, vmax_i]; vmax_i for an excluded bidder."""
+    if lsa.excluded[i]:
+        return lsa.vmax[i]
+    rivals = [j for j in range(lsa.n) if j != i]
+    best = 0.0
+    for j, w in zip(rivals, v_others):
+        if not lsa.excluded[j]:
+            best = max(best, lsa.score(j, w))
+    p = (lsa.alphas[i] + best) / lsa.betas[i]
+    return float(min(max(p, 0.0), lsa.vmax[i]))
+
+
+def reference_affine_threshold(pt, i, v_others):
+    raw = float(np.delete(pt.lam, i) @ np.asarray(v_others, dtype=float)
+                + pt.b[i])
+    return max(raw, 0.0)
+
+
 def reference_grid_from_lsa(lsa, coords):
     coords = [np.asarray(c, dtype=float) for c in coords]
     n = lsa.n
@@ -81,7 +104,8 @@ def reference_grid_from_lsa(lsa, coords):
         shape = tuple(len(a) for a in axes)
         t = np.empty(shape)
         for node in itertools.product(*(range(s) for s in shape)):
-            t[node] = lsa.threshold(i, [axes[d][k] for d, k in enumerate(node)])
+            t[node] = reference_lsa_threshold(
+                lsa, i, [axes[d][k] for d, k in enumerate(node)])
         tables.append(t)
     return tables
 
@@ -254,3 +278,81 @@ def test_tilde_transform_within_one_ulp(mech):
             rival_sum = float(np.delete(lam * vmax, i).sum())
             assert abs(b[i] - ref[i]) <= 2.3e-16 * max(1.0, vmax.max(),
                                                        rival_sum)
+
+
+def threshold_corpus():
+    """Score auctions and affine thresholds at n = 2 to 4 (general alpha and
+    beta, corner-hitting, excluded bidders, unequal bounds), each with rival
+    values per bidder: 0, vmax, two breakpoint nodes, two points between
+    nodes and one uniform draw."""
+    rng = np.random.default_rng(2011)
+    out = []
+    for n in (2, 3, 4):
+        for k in range(12):
+            vmax = tuple(rng.uniform(0.5, 2.0, n)) if k % 2 else (1.0,) * n
+            if k % 3 == 0:
+                mech = ma.corner_hitting(rng.uniform(0.0, 1.0, n) * vmax, vmax)
+            elif k % 3 == 1:
+                mech = ma.LinearScoreAuction(
+                    tuple(rng.uniform(0.0, 0.6, n) * vmax),
+                    tuple(rng.uniform(0.3, 3.0, n)), vmax,
+                    tuple(bool(e) for e in rng.random(n) < 0.3))
+            else:
+                lam = rng.uniform(0.0, 1.5, n) * (rng.random(n) > 0.2)
+                mech = AffineThresholds(rng.uniform(-0.5, 0.5, n), lam, vmax)
+            nodes = (nature.breakpoint_coords(mech)
+                     if isinstance(mech, ma.LinearScoreAuction) else
+                     [np.linspace(0.0, v, 5) for v in vmax])
+            values = []
+            for c, v in zip(nodes, vmax):
+                between = (c[:-1] + c[1:]) / 2
+                values.append(np.unique(np.concatenate([
+                    [0.0, v], rng.choice(c, min(2, c.size), replace=False),
+                    rng.choice(between, min(2, between.size), replace=False),
+                    rng.uniform(0.0, v, 1)])))
+            out.append((mech, values))
+    return out
+
+
+THRESHOLD_CORPUS = threshold_corpus()
+
+
+def rival_profiles(mech, values):
+    for i in range(mech.n):
+        for w in itertools.product(*(values[j] for j in range(mech.n)
+                                     if j != i)):
+            yield i, list(w)
+
+
+def test_threshold_corpus_covers_its_cases():
+    lsas = [m for m, _ in THRESHOLD_CORPUS
+            if isinstance(m, ma.LinearScoreAuction)]
+    assert {m.n for m, _ in THRESHOLD_CORPUS} == {2, 3, 4}
+    assert any(any(m.excluded) for m in lsas)
+    assert any(len(set(m.vmax)) > 1 for m in lsas)
+    assert any(isinstance(m, AffineThresholds) and np.any(m.lam == 0.0)
+               for m, _ in THRESHOLD_CORPUS)
+
+
+def test_lsa_threshold_matches_scalar_rule():
+    calls = 0
+    for mech, values in THRESHOLD_CORPUS:
+        if not isinstance(mech, ma.LinearScoreAuction):
+            continue
+        for i, w in rival_profiles(mech, values):
+            assert mech.threshold(i, w) == reference_lsa_threshold(mech, i, w)
+            calls += 1
+    assert calls > 5000
+
+
+def test_affine_threshold_within_two_ulp_of_dot_product():
+    calls = 0
+    for mech, values in THRESHOLD_CORPUS:
+        if not isinstance(mech, AffineThresholds):
+            continue
+        for i, w in rival_profiles(mech, values):
+            terms = np.concatenate([[mech.b[i]], np.delete(mech.lam, i) * w])
+            assert abs(mech.threshold(i, w) - reference_affine_threshold(
+                mech, i, w)) <= 2 * np.spacing(np.abs(terms).sum())
+            calls += 1
+    assert calls > 2000
