@@ -240,6 +240,8 @@ class GridMechanism:
 
     def threshold(self, i: int, v_others: Sequence[float]) -> float:
         """p_i at rival values ``v_others`` by multilinear interpolation."""
+        if len(v_others) != self.n - 1:
+            raise DomainError(f"need {self.n - 1} rival values")
         axes = self.coords[:i] + self.coords[i + 1:]
         cells = [locate(c, float(x)) for c, x in zip(axes, v_others)]
         return multilinear(self.thresholds[i].ravel(), self.thresholds[i].shape, cells)
@@ -314,7 +316,15 @@ def locate(c: Sequence[float], x: float) -> tuple[int, float]:
 def multilinear(flat: Sequence[float], shape: Sequence[int],
                 cells: list[tuple[int, float]]) -> float:
     """Interpolate a C-order flattened table of ``shape`` at :func:`locate`'s
-    ``cells``, in :func:`_multilinear_grid`'s arithmetic order (same bits)."""
+    ``cells`` in :func:`_multilinear_grid`'s order (same bits; 1-2 axes unrolled)."""
+    if len(cells) == 1:
+        (k, w), = cells
+        return 0.0 + (1.0 - w) * flat[k] + w * flat[k + 1]
+    if len(cells) == 2:
+        (k, w), (l, u) = cells
+        p, q, a, b = k * shape[1] + l, (k + 1) * shape[1] + l, 1.0 - w, 1.0 - u
+        return (0.0 + a * b * flat[p] + a * u * flat[p + 1]
+                + w * b * flat[q] + w * u * flat[q + 1])
     ws, pos = [1.0], [0]
     for (k, w), size in zip(cells, shape):
         ws = [a * b for a in ws for b in (1.0 - w, w)]

@@ -136,43 +136,49 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     the no-sale corners of an n >= 3 grid mechanism's breakpoint grid.
 
     For monotone thresholds the iterations from the bottom and the top of the
-    box approach the least and greatest fixed points of each pinned map;
-    these are the no-sale corners Nature's worst case can occupy.  A start
-    iterates until the cells its coordinates lie in and the clamp pattern of
-    its thresholds have held for three steps, then solves that cell's
-    fixed-point system exactly (:func:`_cell_fixed_point`).  Trying at the
-    first repeat instead lets Newton's method on an n >= 3 cell, started
-    far from the fixed point, land on another root of the multilinear
-    system.  The solution ends the start only if it lies in the closed cell,
-    keeps the clamp pattern, sits on the iteration's side of the iterate
-    (above it from the bottom, below it from the top) and is a fixed point
-    of the clamped, pinned map to 1e-12; otherwise the start iterates on,
-    trying each cell at most once.  Iteration alone stops once no
-    coordinate moves more than 1e-10, or after ``MAP_MAX_ITER`` steps.  When
-    any start was not converged by iteration, one debug line counts the
+    box approach the least and greatest fixed points of each pinned map; these
+    are the no-sale corners Nature's worst case can occupy.  A map runs on its
+    free bidders' tables sliced at the pinned axes' index 0 (same bits); with
+    one free bidder it is constant.  Otherwise a start iterates until the cells
+    its coordinates lie in and the clamp pattern of its thresholds have held
+    for three steps, then solves that cell's fixed-point system exactly
+    (:func:`_cell_fixed_point`).  Trying at the first repeat instead lets
+    Newton's method on an n >= 3 cell, started far from the fixed point, land
+    on another root of the multilinear system.  The solution ends the start
+    only if it lies in the closed cell, keeps the clamp pattern, sits on the
+    iteration's side of the iterate (above it from the bottom, below it from
+    the top) and is a fixed point of the clamped map to 1e-12; otherwise the
+    start iterates on, trying each cell at most once.  Iteration alone stops
+    once no coordinate moves more than 1e-10, or after ``MAP_MAX_ITER`` steps.
+    When any start was not converged by iteration, one debug line counts the
     starts solved in their cell, converged by iteration and left at the cap.
     """
-    n, vmax = mech.n, mech.vmax
-    coords = [c.tolist() for c in mech.coords]
-    tables = [(t.ravel().tolist(), t.shape) for t in mech.thresholds]
-    tol = 1e-12 * max(1.0, max(vmax))
+    n, vmax, tol = mech.n, mech.vmax, 1e-12 * max(1.0, max(mech.vmax))
     points, solved, capped = [], 0, 0
     for mask in range(2 ** n - 1):
         free = [i for i in range(n) if not mask >> i & 1]
+        coords = [mech.coords[i].tolist() for i in free]
+        pick = [slice(None) if j in free else 0 for j in range(n)]
+        tables = [(t.ravel().tolist(), t.shape) for t in (
+            mech.thresholds[i][tuple(pick[:i] + pick[i + 1:])] for i in free)]
+        box, ends = [vmax[i] for i in free], []
         for top in (False, True):
-            v = [vmax[i] if top and i in free else 0.0 for i in range(n)]
+            if len(free) == 1:      # a constant map: its zero node, clamped
+                ends += [_pinned_map(tables, [None], box, tol)[0]] * 2
+                break
+            v = list(box) if top else [0.0] * len(free)
             last, prev, tried = None, None, set()
             for _ in range(MAP_MAX_ITER):
                 cells = [core.locate(c, x) for c, x in zip(coords, v)]
-                new, pattern = _pinned_map(tables, cells, free, vmax, tol)
+                new, pattern = _pinned_map(tables, cells, box, tol)
                 v, old = new, v
                 if all(abs(a - b) <= 1e-10 for a, b in zip(v, old)):
                     break
                 key = (tuple(k for k, _ in cells), pattern)
                 if key == last == prev and key not in tried:
                     tried.add(key)
-                    fixed = _cell_fixed_point(coords, tables, vmax, free, key,
-                                              v, top, tol)
+                    fixed = _cell_fixed_point(coords, tables, box, key, v,
+                                              top, tol)
                     if fixed is not None:
                         v = fixed
                         solved += 1
@@ -180,7 +186,9 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
                 prev, last = last, key
             else:
                 capped += 1
-            points.append(tuple(v))
+            ends.append(v)
+        points += [tuple(v[free.index(j)] if j in free else 0.0
+                         for j in range(n)) for v in ends]
     if solved or capped:
         logger.debug("corner map: %d starts, %d solved in their cell, %d "
                      "converged by iteration, %d left at max_iter=%d",
@@ -189,30 +197,27 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     return points
 
 
-def _pinned_map(tables, cells, free, vmax, tol: float):
-    """One step of the clamped threshold map at the located ``cells``, the
-    coordinates outside ``free`` pinned at zero, with the clamp pattern of
-    the free thresholds: 0 below zero, 2 above the bound, 1 otherwise (a
+def _pinned_map(tables, cells, vmax, tol: float):
+    """One step of a face's clamped threshold map at its located ``cells``,
+    with the clamp pattern: 0 below zero, 2 above the bound, 1 otherwise (a
     threshold within ``tol`` of a bound counts as inside)."""
-    new, pattern = [0.0] * len(cells), []
-    for i in free:
-        p = core.multilinear(*tables[i], cells[:i] + cells[i + 1:])
-        new[i] = min(max(p, 0.0), vmax[i])
+    new, pattern = [], []
+    for i, table in enumerate(tables):
+        p = core.multilinear(*table, cells[:i] + cells[i + 1:])
+        new.append(min(max(p, 0.0), vmax[i]))
         pattern.append(0 if p < -tol else 2 if p > vmax[i] + tol else 1)
     return new, tuple(pattern)
 
 
-def _cell_fixed_point(coords, tables, vmax, free, key, v, top: bool,
-                      tol: float):
-    """The pinned map's fixed point in the cell and clamp pattern ``key``,
+def _cell_fixed_point(coords, tables, vmax, key, v, top: bool, tol: float):
+    """The face map's fixed point in the cell and clamp pattern ``key``,
     solved next to the iterate v; None unless it is in the closed cell,
     keeps the pattern, lies on the iteration's side of v and is a fixed
     point of the clamped map to ``tol``."""
     ks, pattern = key
-    solve = [i for i, p in zip(free, pattern) if p == 1]
-    x = list(v)                      # pinned and clamped entries are exact
-    if solve:
-        x = _newton_in_cell(coords, tables, ks, x, solve, tol)
+    solve = [i for i, p in enumerate(pattern) if p == 1]
+    x = (_newton_in_cell(coords, tables, ks, v, solve, tol) if solve
+         else list(v))                         # clamped entries are exact
     if x is None:
         return None
     for i in solve:
@@ -222,7 +227,7 @@ def _cell_fixed_point(coords, tables, vmax, free, key, v, top: bool,
     if not all(a <= b + tol if top else a >= b - tol for a, b in zip(x, v)):
         return None
     image, same = _pinned_map(tables, [core.locate(c, a) for c, a in
-                                       zip(coords, x)], free, vmax, tol)
+                                       zip(coords, x)], vmax, tol)
     if same != pattern or not all(abs(a - b) <= tol
                                   for a, b in zip(image, x)):
         return None

@@ -134,6 +134,18 @@ class TestThreshold:
         lsa = ma.corner_hitting([1.0, 0.3], [1.0, 1.0])
         assert lsa.threshold(0, [0.9]) == 1.0
 
+    @pytest.mark.parametrize("rivals", [[0.9], [0.9, 0.95, 0.99]])
+    def test_grid_needs_one_value_per_rival(self, rivals):
+        """Too few rival values once read 0.86, too many the two-value
+        answer 0.977; a grid mechanism now refuses both, as the score
+        auction it tabulates does."""
+        lsa = ma.corner_hitting([0.3, 0.4, 0.5], [1.0] * 3)
+        gm = ma.grid_from_lsa(lsa, [np.linspace(0.0, 1.0, 5)] * 3)
+        assert gm.threshold(0, [0.9, 0.95]) == pytest.approx(0.9766666666666666)
+        for mech in (gm, lsa):
+            with pytest.raises(DomainError, match="need 2 rival values"):
+                mech.threshold(0, rivals)
+
 
 class TestPayment:
     def test_second_price(self):

@@ -270,15 +270,22 @@ def test_capped_starts_are_logged(caplog):
 
 
 def test_each_cell_is_solved_at_most_once_per_start(monkeypatch):
+    """A face's cells are face-local, so a call is named by the face's
+    bidders (read off its coordinate lists, which differ per bidder), the
+    start and the key."""
+    mech = still_capped_mechanism()
+    axes = [tuple(c) for c in mech.coords]
+    assert len(set(axes)) == mech.n
     calls = []
     solve = nature._cell_fixed_point
 
-    def record(coords, tables, vmax, free, key, v, top, tol):
-        calls.append((tuple(free), top, key))
-        return solve(coords, tables, vmax, free, key, v, top, tol)
+    def record(coords, tables, vmax, key, v, top, tol):
+        face = tuple(axes.index(tuple(c)) for c in coords)
+        calls.append((face, top, key))
+        return solve(coords, tables, vmax, key, v, top, tol)
 
     monkeypatch.setattr(nature, "_cell_fixed_point", record)
-    corners = nature._map_corner_points(still_capped_mechanism())
+    corners = nature._map_corner_points(mech)
     assert len(calls) == len(set(calls)) > 0
     assert len(corners) == 14
 
@@ -294,8 +301,7 @@ def line_mechanism(t1, t2):
 
 def cell_solve(mech, key, v, top=False):
     coords, tables, vmax = mech
-    return nature._cell_fixed_point(coords, tables, vmax, [0, 1], key, v, top,
-                                    1e-12)
+    return nature._cell_fixed_point(coords, tables, vmax, key, v, top, 1e-12)
 
 
 AFFINE = line_mechanism([0.2, 0.45, 0.7], [0.1, 0.35, 0.6])  # fixed (1/3, 4/15)
