@@ -138,20 +138,20 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     For monotone thresholds the iterations from the bottom and the top of the
     box approach the least and greatest fixed points of each pinned map; these
     are the no-sale corners Nature's worst case can occupy.  A map runs on its
-    free bidders' tables sliced at the pinned axes' index 0 (same bits); with
-    one free bidder it is constant.  Otherwise a start iterates until the cells
-    its coordinates lie in and the clamp pattern of its thresholds have held
-    for three steps, then solves that cell's fixed-point system exactly
-    (:func:`_cell_fixed_point`).  Trying at the first repeat instead lets
-    Newton's method on an n >= 3 cell, started far from the fixed point, land
-    on another root of the multilinear system.  The solution ends the start
-    only if it lies in the closed cell, keeps the clamp pattern, sits on the
-    iteration's side of the iterate (above it from the bottom, below it from
-    the top) and is a fixed point of the clamped map to 1e-12; otherwise the
-    start iterates on, trying each cell at most once.  Iteration alone stops
-    once no coordinate moves more than 1e-10, or after ``MAP_MAX_ITER`` steps.
-    When any start was not converged by iteration, one debug line counts the
-    starts solved in their cell, converged by iteration and left at the cap.
+    free bidders' tables sliced at the pinned axes' index 0 (same bits).  A
+    start iterates until the cells its coordinates lie in and the clamp
+    pattern of its thresholds have held for three steps, then solves that
+    cell's fixed-point system exactly (:func:`_cell_fixed_point`).  Trying at
+    the first repeat instead lets Newton's method on an n >= 3 cell, started
+    far from the fixed point, land on another root of the multilinear system.
+    The solution ends the start only if it lies in the closed cell, keeps the
+    clamp pattern, sits on the iteration's side of the iterate (above it from
+    the bottom, below it from the top) and is a fixed point of the clamped map
+    to 1e-12; otherwise the start iterates on, trying each cell at most once.
+    Iteration alone stops once no coordinate moves more than 1e-10, or after
+    ``MAP_MAX_ITER`` steps.  When any start was not converged by iteration,
+    one debug line counts the starts solved in their cell, converged by
+    iteration and left at the cap.
     """
     n, vmax, tol = mech.n, mech.vmax, 1e-12 * max(1.0, max(mech.vmax))
     points, solved, capped = [], 0, 0
@@ -163,9 +163,6 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
             mech.thresholds[i][tuple(pick[:i] + pick[i + 1:])] for i in free)]
         box, ends = [vmax[i] for i in free], []
         for top in (False, True):
-            if len(free) == 1:      # a constant map: its zero node, clamped
-                ends += [_pinned_map(tables, [None], box, tol)[0]] * 2
-                break
             v = list(box) if top else [0.0] * len(free)
             last, prev, tried = None, None, set()
             for _ in range(MAP_MAX_ITER):

@@ -123,3 +123,25 @@ def test_grid_threshold_matches_the_loop_beyond_the_box(n):
             cells = [core.locate(c, float(x)) for c, x in zip(axes, v)]
             ref = generic_multilinear(flat, mech.thresholds[i].shape, cells)
             assert same_bits(mech.threshold(i, list(v)), ref)
+
+
+def test_coordinates_just_below_zero_stay_within_the_stop_rule():
+    """A coordinate list may start anywhere within 1e-12 of 0.  The full map
+    locates a pinned 0 on a list that starts at -1e-13 at a weight of about
+    1e-13 / width past the first node; a face reads the first node itself.
+    The corners and breakpoint grids stay within the map's 1e-10 stop rule
+    of the full map's."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        mech = random_score_auction(rng, 3)
+        coords = [c.copy() for c in mech.coords]
+        for c in coords[:2]:
+            c[0] = -1e-13
+        mech = ma.GridMechanism(coords, mech.thresholds)
+        corners, ref = nature._map_corner_points(mech), map_corner_points(mech)
+        assert len(corners) == len(ref) == 14
+        assert np.allclose(corners, ref, rtol=0.0, atol=1e-10)
+        new, old = nature.breakpoint_coords(mech), reference_coords(mech)
+        assert [len(a) for a in new] == [len(b) for b in old]
+        for a, b in zip(new, old):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-10)
