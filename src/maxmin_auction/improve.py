@@ -59,9 +59,13 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
     With positive multipliers the map is the identity; otherwise those
     bidders get priced out and the rest are re-tabulated at zero for them.
     A zero multiplier is priced out like a negative one, so simplex
-    round-off (-8e-17 against 0.0) cannot decide the split.
+    round-off (-8e-17 against 0.0) cannot decide the split.  Raises
+    ``DomainError`` unless lam holds n finite values.
     """
     lam = np.asarray(lam, dtype=float)
+    if lam.shape != (mech.n,) or not np.isfinite(lam).all():
+        raise DomainError(f"need {mech.n} finite multipliers, got "
+                          f"{lam.tolist()}")
     if np.all(lam > 0.0):
         return mech, lam.copy()
     tables = []
@@ -77,8 +81,9 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
 def tilde_transform(mech: GridMechanism, lam) -> AffineThresholds:
     """Supporting affine minorant of each threshold with slopes lam_{-i}."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
-        raise DomainError("minorant slopes must be nonnegative")
+    if lam.shape != (mech.n,) or not ((lam >= 0.0) & (lam < np.inf)).all():
+        raise DomainError(f"minorant slopes must be {mech.n} finite "
+                          f"nonnegative values, got {lam.tolist()}")
     b = np.array([np.min(t - sum(lam[j] * a
                                  for j, a in rival_axes(mech.coords, i)))
                   for i, t in enumerate(mech.thresholds)])
@@ -126,15 +131,13 @@ def lagrangian_on_grid(thresholds, lam, instance: Instance, coords) -> float:
     winner regions use weak inequalities with the threshold as the collected
     value; the no-sale region uses strict ones and collects zero.  Defined
     for infeasible threshold tuples as well.  Raises ``DomainError`` when
-    the thresholds or the multipliers do not fit the instance.
+    the thresholds, the grid or the multipliers do not fit the instance.
     """
     lam = np.asarray(lam, dtype=float)
     check_compatible(thresholds, instance)
-    if lam.shape != (instance.n,):
-        raise DomainError(f"need {instance.n} multipliers, got {lam.shape}")
     if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
         raise DomainError("affine minorants assume nonnegative multipliers")
-    coords = [np.asarray(c, dtype=float) for c in coords]
+    coords, _ = nature.check_grid(coords, instance.n)
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-12 * scale
 

@@ -68,6 +68,28 @@ def dedup_sorted(values, tol: float, snap) -> np.ndarray:
     return np.unique(out)
 
 
+def check_grid(coords, n: int, t=None):
+    """The axes as float arrays, and the table t (when given) as a float
+    array shaped like their product grid.  Raises ``DomainError`` unless
+    there are n axes of at least two strictly increasing coordinates and t
+    has one entry per node."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    if len(coords) != n:
+        raise DomainError(f"need one coordinate axis per bidder ({n}), got "
+                          f"{len(coords)}")
+    for c in coords:
+        if c.ndim != 1 or c.shape[0] < 2 or not (c[1:] > c[:-1]).all():
+            raise DomainError("each axis needs at least two increasing "
+                              "coordinates")
+    if t is not None:
+        shape = tuple(c.shape[0] for c in coords)
+        t = np.asarray(t, dtype=float)
+        if t.size != math.prod(shape):
+            raise DomainError("revenue table does not match the grid")
+        t = t.reshape(shape)
+    return coords, t
+
+
 def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     """Per-bidder coordinates covering the box with all threshold breakpoints.
 
@@ -376,7 +398,7 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     A winner candidate contributes her threshold whenever her value reaches
     it; zero contributes wherever the no-sale region accumulates.
     """
-    coords = [np.asarray(c, dtype=float) for c in coords]
+    coords, _ = check_grid(coords, mech.n)
     n = len(coords)
     shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
@@ -424,18 +446,9 @@ def worst_case_lp(coords, t, instance: Instance):
     exact dual multipliers of the simplex basis.  The simplex starts from
     the Freudenthal corners of the grid's box, which hold the means.
     """
-    coords = [np.asarray(c, dtype=float) for c in coords]
     n = instance.n
-    if len(coords) != n:
-        raise DomainError("one coordinate axis per bidder required")
-    for c in coords:
-        if c.ndim != 1 or c.shape[0] < 2 or not np.all(c[1:] > c[:-1]):
-            raise DomainError("each axis needs at least two increasing "
-                              "coordinates")
-    shape = tuple(c.shape[0] for c in coords)
-    tvals = np.asarray(t, dtype=float).ravel()
-    if tvals.shape[0] != math.prod(shape):
-        raise DomainError("revenue table does not match the grid")
+    coords, t = check_grid(coords, n, t)
+    shape, tvals = t.shape, t.ravel()
     A = np.empty((n + 1, tvals.shape[0]))
     A[0] = 1.0
     for row, g in zip(A[1:], np.meshgrid(*coords, indexing="ij", sparse=True)):
@@ -476,10 +489,13 @@ def _freudenthal_corners(coords, means) -> list[int]:
 
 def dual_value(coords, t, instance: Instance, lam) -> float:
     """lam @ m plus the minimum of t - lam @ v over the grid nodes."""
+    coords, t = check_grid(coords, instance.n, t)
     lam = np.asarray(lam, dtype=float)
+    if lam.shape != (instance.n,) or not np.isfinite(lam).all():
+        raise DomainError(f"need {instance.n} finite multipliers, got "
+                          f"{lam.tolist()}")
     grids = np.meshgrid(*coords, indexing="ij", sparse=True)
     lam_dot_v = sum(lam[i] * grids[i] for i in range(len(grids)))
-    t = np.asarray(t, dtype=float).reshape(lam_dot_v.shape)
     return float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
 
 
@@ -489,8 +505,8 @@ def brute_force_min(coords, t, instance: Instance) -> float:
     Independent of the simplex path: each candidate support solves a square
     linear system for its probabilities.
     """
-    nodes = grid_nodes(coords)
-    tvals = np.asarray(t, dtype=float).ravel()
+    coords, t = check_grid(coords, instance.n, t)
+    nodes, tvals = grid_nodes(coords), t.ravel()
     N, n = nodes.shape
     k = n + 1
     if N < k:
@@ -580,19 +596,31 @@ def wcdistr2_classify(r, instance: Instance) -> WorstCaseType:
     return WorstCaseType.I if r2 < rbar else WorstCaseType.II
 
 
-def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
-    """Optimal mean-constraint multipliers for a two-bidder reserve auction."""
+def _binding_corners(r, instance: Instance):
+    """Optimal multipliers of the two-bidder reserve auction and the three
+    limit profiles where its Lagrangian binds: by complementary slackness,
+    the support of Nature's worst case.  lam_i = r_i / (vmax - r_i) ties the
+    no-sale corner r to bidder i's row (she at vmax, her rival at his
+    reserve); (vmax - r_j) / (vmax - r_i) ties the wall (vmax, vmax) to
+    bidder j's row.  Type III takes the candidate that scores higher."""
     r1, r2, vmax = _check_wc_inputs(r, instance)
     kind = wcdistr2_classify(r, instance)
+    sale1, sale2 = r1 / (vmax - r1), r2 / (vmax - r2)
+    wall1, wall2 = (vmax - r2) / (vmax - r1), (vmax - r1) / (vmax - r2)
+    no_sale, row1, row2, wall = (r1, r2), (vmax, r2), (r1, vmax), (vmax, vmax)
     if kind is WorstCaseType.I:
-        return np.array([(vmax - r2) / (vmax - r1), (vmax - r1) / (vmax - r2)])
+        return np.array([wall1, wall2]), [wall, row1, row2]
     if kind is WorstCaseType.II:
-        return np.array([r1 / (vmax - r1), r2 / (vmax - r2)])
-    cand_a = np.array([r1 / (vmax - r1), (vmax - r1) / (vmax - r2)])
-    cand_b = np.array([(vmax - r2) / (vmax - r1), r2 / (vmax - r2)])
-    val_a = lsa_lagrangian(r, cand_a, instance)
-    val_b = lsa_lagrangian(r, cand_b, instance)
-    return cand_a if val_a >= val_b else cand_b
+        return np.array([sale1, sale2]), [no_sale, row2, row1]
+    pairs = [(np.array([sale1, wall2]), row1), (np.array([wall1, sale2]), row2)]
+    # on a tie, max keeps the first pair
+    lam, row = max(pairs, key=lambda p: lsa_lagrangian(r, p[0], instance))
+    return lam, [no_sale, row, wall]
+
+
+def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
+    """Optimal mean-constraint multipliers for a two-bidder reserve auction."""
+    return _binding_corners(r, instance)[0]
 
 
 def lsa2_guarantee(r, instance: Instance) -> float:
@@ -601,54 +629,20 @@ def lsa2_guarantee(r, instance: Instance) -> float:
 
 
 def wcdistr2_construct(r, instance: Instance) -> DiscreteDistribution:
-    """A canonical worst-case distribution against the reserve auction.
-
-    The object is treated as unsold when both values are at or below the
-    reserves, which is the tie resolution the infimum over distributions sees.
-    """
-    r1, r2, vmax = _check_wc_inputs(r, instance)
+    """A canonical worst-case distribution against the reserve auction: the
+    corners where the Lagrangian binds, weighted by Cramer's rule to hit the
+    means.  No sale when both values are at or below the reserves: the tie
+    resolution the infimum over distributions sees."""
+    _, corners = _binding_corners(r, instance)
     m1, m2 = instance.means
-    kind = wcdistr2_classify(r, instance)
-
-    if kind is WorstCaseType.II:
-        q1 = (m1 - r1) / (vmax - r1)          # mass at (vmax, r2)
-        q2 = (m2 - r2) / (vmax - r2)          # mass at (r1, vmax)
-        q0 = 1.0 - q1 - q2
-        if q0 < -PROB_TOL:
-            raise RegimeError("corner mass negative; not an undercut regime")
-        q0 = max(q0, 0.0)
-        atoms = [(r1, r2), (r1, vmax), (vmax, r2)]
-        probs = np.array([q0, q2, q1])
-        return DiscreteDistribution(atoms, probs / probs.sum(), vmax=instance.vmax)
-
-    if kind is WorstCaseType.I:
-        a_lo = max(0.0, (vmax - m2) / (vmax - r2))
-        a_hi = min(1.0, (m1 - r1) / (vmax - r1))
-        if a_hi < a_lo - PROB_TOL:
-            raise RegimeError("no split of the wall mass; not a sale-sure "
-                              "regime")
-        a = 0.5 * (a_lo + a_hi)
-        x = (m1 - a * vmax) / (1.0 - a)
-        y = (m2 - (1.0 - a) * vmax) / a
-        return DiscreteDistribution([(vmax, y), (x, vmax)], [a, 1.0 - a],
-                                    vmax=instance.vmax)
-
-    lam = lsa2_dual_multipliers(r, instance)
-    on_wall_1 = abs(lam[0] - r1 / (vmax - r1)) <= 1e-12
-    if on_wall_1:
-        q0 = (vmax - m1) / (vmax - r1)
-        c = (m2 - r2) / (vmax - r2)           # mass at (vmax, vmax)
-        a = 1.0 - q0 - c                      # mass at (vmax, r2)
-        atoms = [(r1, r2), (vmax, r2), (vmax, vmax)]
-    else:
-        q0 = (vmax - m2) / (vmax - r2)
-        c = (m1 - r1) / (vmax - r1)
-        a = 1.0 - q0 - c
-        atoms = [(r1, r2), (r1, vmax), (vmax, vmax)]
-    if a < -PROB_TOL:
-        raise RegimeError("wall mass negative; inconsistent with the regime")
-    probs = np.array([q0, max(a, 0.0), c])
-    return DiscreteDistribution(atoms, probs / probs.sum(), vmax=instance.vmax)
+    a = [(x - m1, y - m2) for x, y in corners]        # corners seen from m
+    areas = [a[k - 2][0] * a[k - 1][1] - a[k - 1][0] * a[k - 2][1]
+             for k in range(3)]
+    probs = np.array(areas) / sum(areas)
+    if probs.min() < -PROB_TOL:
+        raise RegimeError("corner weight negative; not this regime")
+    probs = np.maximum(probs, 0.0)
+    return DiscreteDistribution(corners, probs / probs.sum(), vmax=instance.vmax)
 
 
 def revenue_unsold_at_reserves(r, instance: Instance, v) -> float:

@@ -140,14 +140,16 @@ def reserve_is_optimal(r, instance: Instance) -> bool:
 def symmetric_reserve_set(m: float, vmax: float, n: int) -> tuple[float, float]:
     """Optimal reserve prices for n symmetric bidders, as an interval.
 
-    A single point collapses to a zero-length interval.
+    A single point collapses to a zero-length interval.  The point is
+    optimal in the low-means regime, n (1 - sqrt(1 - m / vmax)) < 1 as in
+    :func:`regime`; dividing by 1 - sqrt(1 - m / vmax) instead fails for
+    tiny m, where it rounds to 0.
     """
-    if not (0.0 < m < vmax):
-        raise DomainError("need 0 < m < vmax")
-    if n < 2:
-        raise DomainError("at least two bidders required")
-    threshold = 1.0 / (1.0 - math.sqrt(1.0 - m / vmax))
-    if n < threshold:
+    if not (0.0 < m < vmax < math.inf):
+        raise DomainError("need 0 < m < vmax < inf")
+    if not float(n).is_integer() or n < 2:
+        raise DomainError(f"need an integer number of bidders >= 2, got {n}")
+    if n * (1.0 - math.sqrt(1.0 - m / vmax)) < 1.0:
         point = vmax - math.sqrt(vmax * (vmax - m))
         return (point, point)
     return (0.0, vmax / n)

@@ -49,6 +49,13 @@ class TestGrandCaseSplit:
             assert np.all(t == 1.0)
 
 
+    @pytest.mark.parametrize("lam", [[1.0], [1.0] * 3, [np.nan, 1.0],
+                                     [1.0, np.inf]])
+    def test_needs_n_finite_multipliers(self, lam):
+        with pytest.raises(DomainError, match="finite multipliers"):
+            ma.grand_case_split(lsa_grid([0.4, 0.4]), lam)
+
+
 class TestTildeTransform:
     def test_supporting_intercepts(self):
         pt = ma.tilde_transform(lsa_grid([0.4, 0.4]), np.array([2 / 3, 2 / 3]))
@@ -75,6 +82,12 @@ class TestTildeTransform:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             ma.tilde_transform(lsa_grid([0.4, 0.4]), np.array([-0.1, 0.2]))
+
+    @pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, np.inf], [1.0],
+                                     [1.0] * 3])
+    def test_rejects_nan_inf_and_wrong_count(self, lam):
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            ma.tilde_transform(lsa_grid([0.4, 0.4]), lam)
 
 
 class TestLeastFixedPoint:
@@ -303,6 +316,13 @@ class TestLagrangianOnGrid:
         gm = example1_mechanism()
         with pytest.raises(DomainError, match="multipliers"):
             ma.lagrangian_on_grid(gm, lam, INST64, gm.coords)
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_axis_count_mismatch_raises(self, axes):
+        gm = example1_mechanism()
+        with pytest.raises(DomainError, match="axis per bidder"):
+            ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64,
+                                  (gm.coords * 2)[:axes])
 
 
 # Score auctions from the improve benchmark (seed 5 input 220, seed 23 input

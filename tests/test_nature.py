@@ -330,6 +330,45 @@ class TestDualValue:
             assert nature.dual_value(coords, t, inst, lam) <= lp + 1e-9
 
 
+class TestGridChecks:
+    """A grid, table or multiplier vector that does not fit the instance is a
+    ``DomainError``, never a number or another error."""
+    INST2 = ma.Instance(2, [0.6, 0.7], 1.0)
+    INST3 = ma.Instance(3, [0.5] * 3, 1.0)
+
+    @staticmethod
+    def grid():
+        mech = spa([0.3, 0.2])
+        coords = nature.breakpoint_coords(mech)
+        return mech, coords, nature.lower_revenue_table(mech, coords)
+
+    def test_dual_value_needs_one_axis_per_bidder(self):
+        _, coords, t = self.grid()
+        with pytest.raises(DomainError, match="axis per bidder"):
+            nature.dual_value(coords, t, self.INST3, [0.5] * 3)
+
+    @pytest.mark.parametrize("lam", [[0.5], [0.5] * 3, [np.nan, 0.5],
+                                     [0.5, np.inf]])
+    def test_dual_value_needs_n_finite_multipliers(self, lam):
+        _, coords, t = self.grid()
+        with pytest.raises(DomainError, match="finite multipliers"):
+            nature.dual_value(coords, t, self.INST2, lam)
+
+    def test_brute_force_needs_one_axis_per_bidder(self):
+        with pytest.raises(DomainError, match="axis per bidder"):
+            nature.brute_force_min([[0.0, 1.0]] * 2, np.zeros(4), self.INST3)
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_lower_revenue_table_needs_one_axis_per_bidder(self, axes,
+                                                           tabulated):
+        mech, coords, _ = self.grid()
+        if tabulated:
+            mech = ma.grid_from_lsa(mech, coords)
+        with pytest.raises(DomainError, match="axis per bidder"):
+            nature.lower_revenue_table(mech, (coords * 2)[:axes])
+
+
 class TestWorstCaseClassification:
     INST = ma.Instance(2, [0.7, 0.6], 1.0)
 
@@ -409,6 +448,51 @@ class TestWorstCaseConstruction:
                   for a, p in zip(d.atoms, d.probs))
         assert rev == pytest.approx(0.3045454545454545, abs=1e-9)
 
+    def test_type_i_is_three_binding_corners(self):
+        d = nature.wcdistr2_construct([0.2, 0.2], self.INST)
+        assert d.atoms.tolist() == [[1.0, 1.0], [1.0, 0.2], [0.2, 1.0]]
+        assert d.probs == pytest.approx([0.125, 0.5, 0.375], abs=1e-12)
+
+    @pytest.mark.parametrize("means, row", [((0.7, 0.6), (1.0, 0.55)),
+                                            ((0.6, 0.7), (0.55, 1.0))])
+    def test_type_iii_on_either_wall(self, means, row):
+        # the no-sale corner, the wall and the bidder row of the better
+        # candidate multipliers; swapping the means swaps the wall
+        inst = ma.Instance(2, means, 1.0)
+        r = [0.55, 0.55]
+        assert nature.wcdistr2_classify(r, inst) is nature.WorstCaseType.III
+        d = nature.wcdistr2_construct(r, inst)
+        assert [tuple(a) for a in d.atoms] == [(0.55, 0.55), row, (1.0, 1.0)]
+        assert d.probs == pytest.approx([2 / 3, 2 / 9, 1 / 9], abs=1e-12)
+        assert nature.lsa2_guarantee(r, inst) == pytest.approx(7 / 30,
+                                                               abs=1e-12)
+
+    def test_atoms_are_binding_corners(self, rng):
+        """Every atom is a corner of [r1, vmax] x [r2, vmax] where the
+        Lagrangian binds: revenue - lam @ v is its inner minimum there."""
+        seen = {t: 0 for t in nature.WorstCaseType}
+        walls = set()
+        while min(seen.values()) < 100 or len(walls) < 2:
+            m = rng.uniform(0.05, 0.98, 2)
+            inst = ma.Instance(2, m, 1.0)
+            r = rng.uniform(0.0, 1.0, 2) * m
+            try:
+                kind = nature.wcdistr2_classify(r, inst)
+            except BoundaryError:
+                continue
+            seen[kind] += 1
+            d = nature.wcdistr2_construct(r, inst)
+            lam = nature.lsa2_dual_multipliers(r, inst)
+            inner = nature.lsa2_guarantee(r, inst) - lam @ m
+            corners = {(r[0], r[1]), (1.0, r[1]), (r[0], 1.0), (1.0, 1.0)}
+            for a in d.atoms:
+                assert tuple(a) in corners, (m, r, a)
+                rev = nature.revenue_unsold_at_reserves(r, inst, a)
+                assert abs(rev - lam @ a - inner) <= 1e-12, (m, r, a)
+            assert np.abs(d.mean() - m).max() <= 1e-12, (m, r)
+            if kind is nature.WorstCaseType.III:
+                walls.add((1.0, r[1]) in map(tuple, d.atoms))
+
     def test_type_i_revenue_matches_dual(self):
         d = nature.wcdistr2_construct([0.2, 0.2], self.INST)
         rev = sum(p * nature.revenue_unsold_at_reserves([0.2, 0.2], self.INST, a)
@@ -443,3 +527,18 @@ class TestWorstCaseConstruction:
             rev = sum(p * nature.revenue_unsold_at_reserves(r, inst, a)
                       for a, p in zip(d.atoms, d.probs))
             assert rev == pytest.approx(dual, abs=1e-9), (m, r, kind)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (fix Nature's lower "
+                   "envelope), n = 2 residue: a node within tol of a "
+                   "threshold jump counts as a point where one bidder binds")
+def test_fix_natures_lower_envelope_n2_residue():
+    """Narrowing a step of an always-sell boundary from 1e-6 to 1e-10 wide
+    should barely move its value; today it drops from 0.112 to 0.040."""
+    inst = ma.Instance(2, [0.64, 0.64], 1.0)
+    values = []
+    for w in (1e-10, 1e-6):
+        c = [[0.0, 0.2, 0.8, 1.0], [0.0, 0.5, 0.5 + w, 1.0]]
+        values.append(nature.mechanism_guarantee(ma.GridMechanism(c, c),
+                                                 inst)[0])
+    assert values[0] == pytest.approx(values[1], abs=1e-3)

@@ -174,6 +174,21 @@ class TestSymmetricReserveSet:
         assert (lo, hi) == pytest.approx((0.0, 0.5), abs=1e-12)
         point = 1.0 - math.sqrt(1.0 * (1.0 - 0.75))
         assert point == pytest.approx(hi, abs=1e-12)
+        assert (lo, hi) == (0.0, 0.5)        # the equality case is an interval
+
+    @pytest.mark.parametrize("m, n", [(1e-17, 2), (1e-300, 3)])
+    def test_tiny_means_give_the_zero_point(self, m, n):
+        assert ma.symmetric_reserve_set(m, 1.0, n) == (0.0, 0.0)
+        sol = ma.optimal_reserves(ma.Instance(n, m, 1.0))
+        assert sol.reserves_canonical.tolist() == [0.0] * n
+
+    @pytest.mark.parametrize("m, vmax, n", [(0.5, math.inf, 3),
+                                            (0.5, math.nan, 2),
+                                            (0.5, 1.0, 2.5),
+                                            (0.5, 1.0, math.inf)])
+    def test_rejects_unbounded_support_and_fractional_n(self, m, vmax, n):
+        with pytest.raises(DomainError):
+            ma.symmetric_reserve_set(m, vmax, n)
 
 
 class TestAsymmetric2:
