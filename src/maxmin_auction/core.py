@@ -34,11 +34,12 @@ class Instance:
     vmax: tuple[float, ...]
 
     def __init__(self, n: int, means, vmax):
-        if n < 2:
-            raise DomainError("at least two bidders required")
+        if not float(n).is_integer() or n < 2:
+            raise DomainError(f"need an integer number of bidders >= 2, got {n}")
+        n = int(n)
         if np.asarray(means).size not in (1, n) or np.asarray(vmax).size not in (1, n):
             raise DomainError("means and vmax must have length n (or be scalar)")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "means", _as_tuple(means, n))
         object.__setattr__(self, "vmax", _as_tuple(vmax, n))
         for m, v in zip(self.means, self.vmax):

@@ -18,48 +18,50 @@ from .errors import DomainError
 from .simplex import solve_lp  # noqa: F401  unused here; perfbench wraps dual.solve_lp
 
 
-def _lagrangian_terms(r: np.ndarray, lam: np.ndarray, vmax,
-                      wall_terms: list[float]) -> float:
+def _lagrangian(r, lam, instance: Instance, wall_terms: list[float]) -> float:
+    """lam @ m plus the least of the rows ``wall_terms``, one per bidder and
+    the no-sale row when every reserve is positive."""
     terms = list(wall_terms)
     lam_dot_r = float(lam @ r)
     for i in range(len(r)):
-        terms.append(float(r[i] - (lam_dot_r - lam[i] * r[i]) - lam[i] * vmax[i]))
-    if np.all(r > 0.0):                    # no-sale region nonempty
+        terms.append(float(r[i] - (lam_dot_r - lam[i] * r[i])
+                           - lam[i] * instance.vmax[i]))
+    if min(r) > 0.0:                       # no-sale region nonempty
         terms.append(-lam_dot_r)
-    return min(terms)
+    return float(lam @ instance.mean_vector + min(terms))
 
 
 def _checked(r, lam, instance: Instance, upper):
-    """Reserves and multipliers as float arrays of shape (n,).
-
-    Raises ``DomainError`` unless 0 <= r <= ``upper`` (the bound plus its
-    tolerance: one float, or one per bidder) and, when ``lam`` is given,
-    0 <= lam < inf.  Every comparison with NaN is false, so NaN fails too.
-    """
+    """Reserves as a list of n floats, multipliers as a float array (n,);
+    ``DomainError`` unless every 0 <= r_i <= upper[i] (a bound plus its
+    tolerance) and 0 <= lam < inf.  Every comparison with NaN is false."""
     shape = (instance.n,)
     r = np.asarray(r, dtype=float)
     if r.shape != shape:
         raise DomainError(f"reserves must have shape {shape}, got {r.shape}")
-    if not (r.min() >= 0.0 and (r <= upper).all()):
-        raise DomainError("reserves outside the box")
+    r = r.tolist()
+    for x, u in zip(r, upper):
+        if not 0.0 <= x <= u:
+            raise DomainError("reserves outside the box")
     if lam is not None:
         lam = np.asarray(lam, dtype=float)
-        if lam.shape != shape:
-            raise DomainError(
-                f"multipliers must have shape {shape}, got {lam.shape}")
-        if not (lam.min() >= 0.0 and lam.max() < np.inf):
-            raise DomainError(
-                "closed form requires finite nonnegative multipliers")
+        if lam.shape != shape or not (lam.min() >= 0.0 and lam.max() < np.inf):
+            raise DomainError(f"closed form requires {instance.n} finite "
+                              f"nonnegative multipliers, got {lam.tolist()}")
     return r, lam
+
+
+def _lsa_lagrangian(r, lam, instance: Instance) -> float:
+    """``lsa_lagrangian`` on input that passed its checks, bounds equal."""
+    wall = [instance.vmax[0] * (1.0 - float(lam.sum()))]
+    return _lagrangian(r, lam, instance, wall)
 
 
 def lsa_lagrangian(r, lam, instance: Instance) -> float:
     """Lower bound lam @ m + inf(t - lam @ v) for the reserve auction, exactly."""
     vmax = instance.common_vmax()
-    r, lam = _checked(r, lam, instance, vmax + 1e-12)
-    wall = [vmax * (1.0 - float(lam.sum()))]
-    inner = _lagrangian_terms(r, lam, instance.vmax, wall)
-    return float(lam @ instance.mean_vector + inner)
+    r, lam = _checked(r, lam, instance, [vmax + 1e-12] * instance.n)
+    return _lsa_lagrangian(r, lam, instance)
 
 
 def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
@@ -98,11 +100,11 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
     The argmax lam is x_j / (vmax - r_j) from the fill at the best s.
     """
     vmax = instance.common_vmax()
-    r, _ = _checked(r, None, instance, vmax + 1e-12)
-    r = r.tolist()
-    q = {j: (m - r[j]) / (vmax - r[j])
-         for j, m in enumerate(instance.means) if r[j] < vmax}
-    order = sorted((j for j in q if q[j] > 0.0), key=lambda j: -q[j])
+    r, _ = _checked(r, None, instance, [vmax + 1e-12] * instance.n)
+    q = [(m - rj) / (vmax - rj) if rj < vmax else 0.0
+         for m, rj in zip(instance.means, r)]
+    order = sorted((j for j, qj in enumerate(q) if qj > 0.0),
+                   key=lambda j: -q[j])
 
     def fill(s):
         budget = vmax - s
@@ -125,10 +127,10 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
                 best_s, best = s, value
     if best_s < 0.0:
         best, x = fill(best_s)
-    lam = np.zeros(instance.n)
+    lam = [0.0] * instance.n
     for j, xj in zip(order, x):
         lam[j] = xj / (vmax - r[j])
-    return best, lam
+    return best, np.array(lam)
 
 
 def _asym_checks(r, v1_tilde, lam, instance: Instance):
@@ -137,7 +139,7 @@ def _asym_checks(r, v1_tilde, lam, instance: Instance):
     v1, v2 = instance.vmax
     if v1 < v2 - 1e-12:
         raise DomainError("bidder 1 must carry the larger bound")
-    r, lam = _checked(r, lam, instance, np.array([v1, v2]) + 1e-12)
+    r, lam = _checked(r, lam, instance, [v1 + 1e-12, v2 + 1e-12])
     if not (0.0 <= v1_tilde <= v1 + 1e-12):
         raise DomainError("sure-win value outside bidder 1's range")
     return r, lam, float(v1), float(v2)
@@ -151,8 +153,7 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
     r, lam, v1, v2 = _asym_checks(r, v1_tilde, lam, instance)
     wall = [float(v1_tilde - lam[1] * v2 - lam[0] * v1),
             float(v2 - lam[0] * v1_tilde - lam[1] * v2)]
-    inner = _lagrangian_terms(r, lam, instance.vmax, wall)
-    return float(lam @ instance.mean_vector + inner)
+    return _lagrangian(r, lam, instance, wall)
 
 
 def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndarray]:

@@ -103,7 +103,7 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     root of the piece before it.  One debug line gives S and that piece.
     """
     lam, b = pt.lam, pt.b
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):           # NaN fails too
         raise DomainError("least fixed point needs nonnegative multipliers")
     vmax = np.asarray(pt.vmax, dtype=float)
     tol = 1e-12 * max(1.0, float(vmax.max()))

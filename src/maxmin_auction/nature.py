@@ -22,7 +22,7 @@ from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, corner_hitting,
                    grid_nodes)
-from .dual import lsa_lagrangian
+from .dual import _lsa_lagrangian, lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
 from .simplex import solve_lp
@@ -561,19 +561,29 @@ class WorstCaseType(enum.Enum):
     III = "III"
 
 
-def _check_wc_inputs(r, instance: Instance) -> tuple[float, float, float]:
+def _check_wc_inputs(r, instance: Instance):
+    """Two finite reserves in [0, mean) as floats, the common bound and the
+    worst-case type; ``BoundaryError`` on a boundary between types."""
     if instance.n != 2:
         raise DomainError("closed-form worst cases are for two bidders")
     vmax = instance.common_vmax()
     r = np.asarray(r, dtype=float)
-    if r.shape != (2,) or not np.all(np.isfinite(r)):
+    if r.shape != (2,) or not all(map(math.isfinite, r.tolist())):
         raise DomainError(f"closed forms need two finite reserves, got "
                           f"{r.tolist()}")
-    if np.any(r < 0):
+    r1, r2 = r.tolist()
+    if r1 < 0.0 or r2 < 0.0:
         raise DomainError("reserves must be nonnegative")
-    if not (r[0] < instance.means[0] and r[1] < instance.means[1]):
+    if not (r1 < instance.means[0] and r2 < instance.means[1]):
         raise DomainError("closed forms require reserves below the means")
-    return float(r[0]), float(r[1]), vmax
+    if abs(r2 - (vmax - r1)) <= 1e-12:
+        raise BoundaryError("reserves on the sure-sale boundary")
+    if r2 > vmax - r1:
+        return r1, r2, vmax, WorstCaseType.III
+    rbar = wc_boundary_r2(r1, instance)
+    if abs(r2 - rbar) <= 1e-12:
+        raise BoundaryError("reserves on the undercut boundary")
+    return r1, r2, vmax, WorstCaseType.I if r2 < rbar else WorstCaseType.II
 
 
 def wc_boundary_r2(r1: float, instance: Instance) -> float:
@@ -584,16 +594,7 @@ def wc_boundary_r2(r1: float, instance: Instance) -> float:
 
 
 def wcdistr2_classify(r, instance: Instance) -> WorstCaseType:
-    r1, r2, vmax = _check_wc_inputs(r, instance)
-    rbar = wc_boundary_r2(r1, instance)
-    btol = 1e-12
-    if abs(r2 - (vmax - r1)) <= btol:
-        raise BoundaryError("reserves on the sure-sale boundary")
-    if r2 > vmax - r1:
-        return WorstCaseType.III
-    if abs(r2 - rbar) <= btol:
-        raise BoundaryError("reserves on the undercut boundary")
-    return WorstCaseType.I if r2 < rbar else WorstCaseType.II
+    return _check_wc_inputs(r, instance)[3]
 
 
 def _binding_corners(r, instance: Instance):
@@ -603,8 +604,7 @@ def _binding_corners(r, instance: Instance):
     no-sale corner r to bidder i's row (she at vmax, her rival at his
     reserve); (vmax - r_j) / (vmax - r_i) ties the wall (vmax, vmax) to
     bidder j's row.  Type III takes the candidate that scores higher."""
-    r1, r2, vmax = _check_wc_inputs(r, instance)
-    kind = wcdistr2_classify(r, instance)
+    r1, r2, vmax, kind = _check_wc_inputs(r, instance)
     sale1, sale2 = r1 / (vmax - r1), r2 / (vmax - r2)
     wall1, wall2 = (vmax - r2) / (vmax - r1), (vmax - r1) / (vmax - r2)
     no_sale, row1, row2, wall = (r1, r2), (vmax, r2), (r1, vmax), (vmax, vmax)
@@ -614,7 +614,7 @@ def _binding_corners(r, instance: Instance):
         return np.array([sale1, sale2]), [no_sale, row2, row1]
     pairs = [(np.array([sale1, wall2]), row1), (np.array([wall1, sale2]), row2)]
     # on a tie, max keeps the first pair
-    lam, row = max(pairs, key=lambda p: lsa_lagrangian(r, p[0], instance))
+    lam, row = max(pairs, key=lambda p: _lsa_lagrangian(no_sale, p[0], instance))
     return lam, [no_sale, row, wall]
 
 

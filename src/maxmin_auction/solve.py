@@ -35,14 +35,12 @@ def optimal_lambda(instance: Instance) -> tuple[np.ndarray, Optional[int], froze
     vmax = instance.common_vmax()
     m = instance.mean_vector
     n = instance.n
-    order = np.argsort(m, kind="stable")
-    ms = m[order]
-    roots = np.sqrt(vmax - ms)
-
     if regime(instance) is Regime.LOW_MEANS:
         lam = np.sqrt(vmax / (vmax - m)) - 1.0
         return lam, None, frozenset()
 
+    order = np.argsort(m, kind="stable")
+    roots = np.sqrt(vmax - m[order])
     # cutoff rank, 1-based as sorted; k = n - 1 always qualifies, as every
     # mean is below vmax
     k_star = next(k for k in range(1, n)
@@ -99,7 +97,7 @@ def optimal_reserves(instance: Instance) -> OptimalSolution:
     lam, k_star, we = optimal_lambda(instance)
     guarantee = _guarantee(lam, instance)
 
-    if regime(instance) is Regime.LOW_MEANS:
+    if k_star is None:                          # the low-means regime
         r = vmax - np.sqrt(vmax * (vmax - m))
         rset = ReserveSet(kind="point", point=r.copy())
         return OptimalSolution(Regime.LOW_MEANS, lam, None, we, r, rset, guarantee)

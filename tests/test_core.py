@@ -23,6 +23,15 @@ class TestInstance:
         with pytest.raises(DomainError):
             ma.Instance(2, [np.inf, 0.5], 1.0)
 
+    @pytest.mark.parametrize("means", [0.5, [0.5] * 3, [0.5] * 4])
+    @pytest.mark.parametrize("n", [3.7, 2.5, np.nan, np.inf])
+    def test_non_integer_bidder_count(self, n, means):
+        with pytest.raises(DomainError, match="integer number of bidders"):
+            ma.Instance(n, means, 1.0)
+
+    def test_integral_float_bidder_count(self):
+        assert ma.Instance(3.0, 0.5, 1.0).n == 3
+
     def test_broadcast(self):
         inst = ma.Instance(3, 0.5, 1.0)
         assert inst.means == (0.5, 0.5, 0.5)

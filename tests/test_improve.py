@@ -119,6 +119,12 @@ class TestLeastFixedPoint:
         with pytest.raises(DomainError, match="nonnegative"):
             ma.least_fixed_point(pt)
 
+    @pytest.mark.parametrize("lam", [[np.nan, 0.5], [0.5, np.nan]])
+    def test_rejects_nan_multiplier(self, lam):
+        pt = AffineThresholds(np.array([0.1, 0.1]), np.array(lam), (1.0, 1.0))
+        with pytest.raises(DomainError, match="nonnegative"):
+            ma.least_fixed_point(pt)
+
     @pytest.mark.parametrize("lam, b, expected", [
         ((1.0, 1.0 - 1e-12), (1e-9, 0.0), (1.0, 1.0)),
         ((1.0, 1.0 - 1e-9), (1e-6, 0.0), (1.0, 1.0)),
