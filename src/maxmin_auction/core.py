@@ -397,17 +397,19 @@ class DiscreteDistribution:
         probs = np.asarray(probs, dtype=float)
         if atoms.shape[0] != probs.shape[0]:
             raise DomainError("one probability per atom required")
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(probs))):
+        a, p = atoms.ravel().tolist(), probs.ravel().tolist()
+        if not all(map(math.isfinite, a + p)):
             raise DomainError("atoms and probabilities must be finite")
-        if np.any(probs < -1e-12):
+        if min(p, default=0.0) < -1e-12:
             raise DomainError("negative probability")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise DomainError("probabilities must sum to one")
-        if np.any(atoms < -1e-12):
+        if min(a, default=0.0) < -1e-12:
             raise DomainError("atom outside the box")
-        if vmax is not None:
+        if vmax is not None:     # one bound per entry of an atom, cycled
             vm = np.broadcast_to(np.asarray(vmax, dtype=float), atoms.shape[1:])
-            if np.any(atoms > vm + 1e-12):
+            if any(x > u + 1e-12 for x, u in
+                   zip(a, itertools.cycle(vm.ravel().tolist()))):
                 raise DomainError("atom outside the box")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)

@@ -150,7 +150,13 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
     ``v1_tilde`` is the lowest report at which bidder 1 wins outright.
     """
-    r, lam, v1, v2 = _asym_checks(r, v1_tilde, lam, instance)
+    r, lam, _, _ = _asym_checks(r, v1_tilde, lam, instance)
+    return _asym_lagrangian(r, v1_tilde, lam, instance)
+
+
+def _asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
+    """``lsa2_asym_lagrangian`` on input that passed its checks."""
+    v1, v2 = instance.vmax
     wall = [float(v1_tilde - lam[1] * v2 - lam[0] * v1),
             float(v2 - lam[0] * v1_tilde - lam[1] * v2)]
     return _lagrangian(r, lam, instance, wall)
@@ -187,4 +193,4 @@ def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndar
                            a[p, 0] * b[q] - b[p] * a[q, 0]]) / det[:, None]
     lam = np.maximum(lam[(lam >= -1e-12).all(axis=1)], 0.0)
     best = lam[(c + lam @ g.T).min(axis=1).argmax()]
-    return lsa2_asym_lagrangian(r, v1_tilde, best, instance), best
+    return _asym_lagrangian(r, v1_tilde, best, instance), best

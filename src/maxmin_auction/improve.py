@@ -122,33 +122,32 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     return pt.curve(s)
 
 
-def lagrangian_on_grid(thresholds, lam, instance: Instance, coords) -> float:
-    """Reduced revenue functional on a grid: lam @ m plus the worst infimum.
+def lagrangian_on_grid(families, lam, instance: Instance, coords) -> list[float]:
+    """lam @ m plus the worst infimum on a grid, one value per family: each
+    a mechanism that tabulates itself with ``tables``.
 
-    ``thresholds`` is any mechanism that tabulates itself with ``tables``.
-
-    This is ``nature.dual_value`` on a table with strict no-sale ties:
-    winner regions use weak inequalities with the threshold as the collected
+    ``nature.dual_value`` on a table with strict no-sale ties: winner
+    regions use weak inequalities with the threshold as the collected
     value; the no-sale region uses strict ones and collects zero.  Defined
-    for infeasible threshold tuples as well.  Raises ``DomainError`` when
-    the thresholds, the grid or the multipliers do not fit the instance.
-    """
+    for infeasible threshold tuples too.  The families share one mesh and
+    one envelope over their stacked tables.  ``DomainError`` without a
+    family, or when a family, the grid or lam does not fit the instance."""
+    if not families:
+        raise DomainError("need at least one threshold family")
     lam = np.asarray(lam, dtype=float)
-    check_compatible(thresholds, instance)
-    if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
-        raise DomainError("affine minorants assume nonnegative multipliers")
+    for thresholds in families:
+        check_compatible(thresholds, instance)
+        if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
+            raise DomainError("affine minorants assume nonnegative multipliers")
     coords, _ = nature.check_grid(coords, instance.n)
-    scale = max(1.0, max(float(c[-1]) for c in coords))
-    tol = 1e-12 * scale
-
+    tol = 1e-12 * max(1.0, max(float(c[-1]) for c in coords))
     grids = np.meshgrid(*coords, indexing="ij", sparse=True)
-    tables = [np.expand_dims(p, axis=i)
-              for i, p in enumerate(thresholds.tables(coords))]
+    tables = [np.expand_dims(np.stack(p), axis=i + 1) for i, p in
+              enumerate(zip(*(f.tables(coords) for f in families)))]
     t = nature.least_winning_threshold(grids, tables, tol)
-    no_sale = np.all([g < p for g, p in zip(grids, tables)],
-                     axis=0)                 # strict: ties never sit in W0
+    no_sale = np.all([g < p for g, p in zip(grids, tables)], axis=0)
     t[no_sale] = np.minimum(t[no_sale], 0.0)
-    return nature.dual_value(coords, t, instance, lam)
+    return nature._dual_values(grids, t, instance, lam)
 
 
 @dataclass(frozen=True)
@@ -178,15 +177,10 @@ def dominating_lsa(mech: Mechanism, instance: Instance
     out = corner_hitting(vstar, instance.vmax)
 
     coords = _audit_coords(grid, pt, vstar)
-    audit = ImprovementAudit(
-        lambda_raw=lam_raw.copy(),
-        lam=lam.copy(),
-        input_guarantee=float(guarantee),
-        value_input=lagrangian_on_grid(split_mech, lam, instance, coords),
-        value_minorant=lagrangian_on_grid(pt, lam, instance, coords),
-        value_output=lagrangian_on_grid(out, lam, instance, coords),
-        fixed_point=vstar.copy(),
-    )
+    audit = ImprovementAudit(   # R(p, lam), R(p~, lam), R(p^, lam) at once
+        lam_raw.copy(), lam.copy(), float(guarantee),
+        *lagrangian_on_grid((split_mech, pt, out), lam, instance, coords),
+        vstar.copy())
     return out, audit
 
 

@@ -22,7 +22,7 @@ from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, corner_hitting,
                    grid_nodes)
-from .dual import _lsa_lagrangian, lsa_lagrangian
+from .dual import _lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
 from .simplex import solve_lp
@@ -62,10 +62,14 @@ def dedup_sorted(values, tol: float, snap) -> np.ndarray:
     for v in vals[1:]:
         if v - keep[-1] > tol:
             keep.append(v)
-    out = np.asarray(keep)
-    for anchor in snap:
-        out[np.abs(out - anchor) <= tol] = anchor
-    return np.unique(out)
+    snap, out = [float(a) for a in snap], []
+    for x in keep:             # snapping is monotone: out stays sorted
+        for anchor in snap:
+            if abs(x - anchor) <= tol:
+                x = anchor
+        if not out or x != out[-1]:
+            out.append(x)
+    return np.asarray(out)
 
 
 def check_grid(coords, n: int, t=None):
@@ -490,13 +494,20 @@ def _freudenthal_corners(coords, means) -> list[int]:
 def dual_value(coords, t, instance: Instance, lam) -> float:
     """lam @ m plus the minimum of t - lam @ v over the grid nodes."""
     coords, t = check_grid(coords, instance.n, t)
+    grids = np.meshgrid(*coords, indexing="ij", sparse=True)
+    return _dual_values(grids, [t], instance, lam)[0]
+
+
+def _dual_values(grids, tables, instance: Instance, lam) -> list[float]:
+    """``dual_value`` of each table on the open mesh ``grids``, with one
+    lam @ v; ``DomainError`` unless lam holds n finite values."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.n,) or not np.isfinite(lam).all():
         raise DomainError(f"need {instance.n} finite multipliers, got "
                           f"{lam.tolist()}")
-    grids = np.meshgrid(*coords, indexing="ij", sparse=True)
     lam_dot_v = sum(lam[i] * grids[i] for i in range(len(grids)))
-    return float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
+    return [float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
+            for t in tables]
 
 
 def brute_force_min(coords, t, instance: Instance) -> float:
@@ -598,24 +609,24 @@ def wcdistr2_classify(r, instance: Instance) -> WorstCaseType:
 
 
 def _binding_corners(r, instance: Instance):
-    """Optimal multipliers of the two-bidder reserve auction and the three
-    limit profiles where its Lagrangian binds: by complementary slackness,
-    the support of Nature's worst case.  lam_i = r_i / (vmax - r_i) ties the
-    no-sale corner r to bidder i's row (she at vmax, her rival at his
-    reserve); (vmax - r_j) / (vmax - r_i) ties the wall (vmax, vmax) to
-    bidder j's row.  Type III takes the candidate that scores higher."""
+    """Optimal multipliers of the two-bidder reserve auction, the three
+    limit profiles where its Lagrangian binds (the support of Nature's
+    worst case, by complementary slackness) and the checked reserves.
+    lam_i = r_i / (vmax - r_i) ties the no-sale corner r to bidder i's row
+    (she at vmax, her rival at his reserve); (vmax - r_j) / (vmax - r_i)
+    ties the wall to bidder j's row; Type III takes the better candidate."""
     r1, r2, vmax, kind = _check_wc_inputs(r, instance)
     sale1, sale2 = r1 / (vmax - r1), r2 / (vmax - r2)
     wall1, wall2 = (vmax - r2) / (vmax - r1), (vmax - r1) / (vmax - r2)
     no_sale, row1, row2, wall = (r1, r2), (vmax, r2), (r1, vmax), (vmax, vmax)
     if kind is WorstCaseType.I:
-        return np.array([wall1, wall2]), [wall, row1, row2]
+        return np.array([wall1, wall2]), [wall, row1, row2], no_sale
     if kind is WorstCaseType.II:
-        return np.array([sale1, sale2]), [no_sale, row2, row1]
+        return np.array([sale1, sale2]), [no_sale, row2, row1], no_sale
     pairs = [(np.array([sale1, wall2]), row1), (np.array([wall1, sale2]), row2)]
     # on a tie, max keeps the first pair
     lam, row = max(pairs, key=lambda p: _lsa_lagrangian(no_sale, p[0], instance))
-    return lam, [no_sale, row, wall]
+    return lam, [no_sale, row, wall], no_sale
 
 
 def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
@@ -625,7 +636,8 @@ def lsa2_dual_multipliers(r, instance: Instance) -> np.ndarray:
 
 def lsa2_guarantee(r, instance: Instance) -> float:
     """Worst-case expected revenue of the two-bidder reserve auction."""
-    return lsa_lagrangian(r, lsa2_dual_multipliers(r, instance), instance)
+    lam, _, r = _binding_corners(r, instance)
+    return _lsa_lagrangian(r, lam, instance)
 
 
 def wcdistr2_construct(r, instance: Instance) -> DiscreteDistribution:
@@ -633,7 +645,7 @@ def wcdistr2_construct(r, instance: Instance) -> DiscreteDistribution:
     corners where the Lagrangian binds, weighted by Cramer's rule to hit the
     means.  No sale when both values are at or below the reserves: the tie
     resolution the infimum over distributions sees."""
-    _, corners = _binding_corners(r, instance)
+    _, corners, _ = _binding_corners(r, instance)
     m1, m2 = instance.means
     a = [(x - m1, y - m2) for x, y in corners]        # corners seen from m
     areas = [a[k - 2][0] * a[k - 1][1] - a[k - 1][0] * a[k - 2][1]

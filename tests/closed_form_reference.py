@@ -2,8 +2,10 @@
 ``dual.lsa_guarantee`` with its reserves held in an array and its q in a
 dict, and the two-bidder worst case that checked its reserves once for
 itself and once more to classify them, and scored Type III's candidates
-through the checked ``lsa_lagrangian``.  The library must give these
-bits."""
+through the checked ``lsa_lagrangian``; the asymmetric-bound guarantee that
+checked its input again to score its best vertex; and the six numpy
+reductions that validated a ``DiscreteDistribution``.  The library must give
+these bits and raise on the same input."""
 
 import numpy as np
 
@@ -138,3 +140,63 @@ def wcdistr2_construct(r, instance):
         raise RegimeError("corner weight negative; not this regime")
     probs = np.maximum(probs, 0.0)
     return DiscreteDistribution(corners, probs / probs.sum(), vmax=instance.vmax)
+
+
+def _asym_checks(r, v1_tilde, lam, instance):
+    if instance.n != 2:
+        raise DomainError("asymmetric-bound form is for two bidders")
+    v1, v2 = instance.vmax
+    if v1 < v2 - 1e-12:
+        raise DomainError("bidder 1 must carry the larger bound")
+    r, lam = _checked(r, lam, instance, np.array([v1 + 1e-12, v2 + 1e-12]))
+    if not (0.0 <= v1_tilde <= v1 + 1e-12):
+        raise DomainError("sure-win value outside bidder 1's range")
+    return r, lam, float(v1), float(v2)
+
+
+def lsa2_asym_lagrangian(r, v1_tilde, lam, instance):
+    r, lam, v1, v2 = _asym_checks(r, v1_tilde, lam, instance)
+    wall = [float(v1_tilde - lam[1] * v2 - lam[0] * v1),
+            float(v2 - lam[0] * v1_tilde - lam[1] * v2)]
+    inner = _lagrangian_terms(r, lam, instance.vmax, wall)
+    return float(lam @ instance.mean_vector + inner)
+
+
+def lsa2_asym_guarantee(r, v1_tilde, instance):
+    r, _, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
+    A = np.array([[v1, v2], [v1_tilde, v2], [v1, r[1]], [r[0], v2], r])
+    c = np.array([v1_tilde, v2, r[0], r[1], 0.0])
+    g = instance.mean_vector - A
+    k, l = np.triu_indices(len(c), 1)
+    a = np.vstack([g[k] - g[l], np.eye(2)])
+    b = np.concatenate([c[l] - c[k], [0.0, 0.0]])
+    p, q = np.triu_indices(len(b), 1)
+    det = a[p, 0] * a[q, 1] - a[p, 1] * a[q, 0]
+    keep = det != 0.0
+    p, q, det = p[keep], q[keep], det[keep]
+    lam = np.column_stack([b[p] * a[q, 1] - a[p, 1] * b[q],
+                           a[p, 0] * b[q] - b[p] * a[q, 0]]) / det[:, None]
+    lam = np.maximum(lam[(lam >= -1e-12).all(axis=1)], 0.0)
+    best = lam[(c + lam @ g.T).min(axis=1).argmax()]
+    return lsa2_asym_lagrangian(r, v1_tilde, best, instance), best
+
+
+def distribution(atoms, probs, vmax=None):
+    """``DiscreteDistribution``'s stored atoms and probs."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    probs = np.asarray(probs, dtype=float)
+    if atoms.shape[0] != probs.shape[0]:
+        raise DomainError("one probability per atom required")
+    if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(probs))):
+        raise DomainError("atoms and probabilities must be finite")
+    if np.any(probs < -1e-12):
+        raise DomainError("negative probability")
+    if abs(float(probs.sum()) - 1.0) > 1e-12:
+        raise DomainError("probabilities must sum to one")
+    if np.any(atoms < -1e-12):
+        raise DomainError("atom outside the box")
+    if vmax is not None:
+        vm = np.broadcast_to(np.asarray(vmax, dtype=float), atoms.shape[1:])
+        if np.any(atoms > vm + 1e-12):
+            raise DomainError("atom outside the box")
+    return atoms, probs

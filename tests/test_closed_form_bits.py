@@ -1,7 +1,9 @@
 """The closed forms on plain floats give the bits of the array-checked
 versions in ``closed_form_reference``: ``lsa_guarantee``'s value and
-multipliers, and the two-bidder type, multipliers, guarantee and worst-case
-distribution compare by their bytes, and both raise on the same input."""
+multipliers, the two-bidder type, multipliers, guarantee and worst-case
+distribution, the asymmetric-bound guarantee's value and multipliers, and
+a ``DiscreteDistribution``'s stored atoms and probs compare by their bytes,
+and both raise on the same input."""
 
 import numpy as np
 import pytest
@@ -136,3 +138,116 @@ def test_two_bidder_worst_case_rejects_the_same_input(r, error):
             getattr(ref, fn.__name__)(r, inst)
         with pytest.raises(error):
             fn(r, inst)
+
+
+def asym_corpus():
+    """(reserves, v1_tilde, instance) draws with v1 >= v2: equal and
+    unequal bounds, zero reserves (no no-sale row), reserves at a bound
+    and within the tolerance above it, v1_tilde at 0 and at v1."""
+    rng = np.random.default_rng(43)
+    out = []
+    for _ in range(400):
+        v2 = float(rng.choice([1.0, rng.uniform(0.3, 2.0)]))
+        v1 = v2 if rng.random() < 0.3 else v2 + float(rng.uniform(0.0, 1.5))
+        inst = ma.Instance(2, rng.uniform(0.05, 0.95, 2) * [v1, v2], [v1, v2])
+        r = rng.uniform(0.0, 1.0, 2) * [v1, v2]
+        roll = rng.random()
+        if roll < 0.2:
+            r[rng.integers(2)] = 0.0
+        elif roll < 0.3:
+            r = np.array([v1, v2 + 5e-13])
+        v1_tilde = float(rng.choice([0.0, v1, rng.uniform(0.0, v1)]))
+        out.append((r, v1_tilde, inst))
+    return out
+
+
+def test_asymmetric_guarantee_keeps_its_bits():
+    for r, v1_tilde, inst in asym_corpus():
+        value, lam = ma.lsa2_asym_guarantee(r, v1_tilde, inst)
+        ref_value, ref_lam = ref.lsa2_asym_guarantee(r, v1_tilde, inst)
+        assert type(value) is type(ref_value)
+        assert same_bits(value, ref_value), (r, v1_tilde, inst)
+        assert same_bits(lam, ref_lam), (r, v1_tilde, inst)
+
+
+@pytest.mark.parametrize("r, v1_tilde, vmax", [
+    ([np.nan, 0.5], 1.0, [1.0, 1.0]), ([0.5, -0.1], 1.0, [1.0, 1.0]),
+    ([0.5, 1.0 + 2e-12], 1.0, [1.5, 1.0]), ([0.5, 0.5], 1.6, [1.5, 1.0]),
+    ([0.5, 0.5], -0.1, [1.0, 1.0]), ([0.5, 0.5], 0.5, [1.0, 1.5]),
+    ([0.5], 0.5, [1.0, 1.0])])
+def test_asymmetric_guarantee_rejects_the_same_input(r, v1_tilde, vmax):
+    inst = ma.Instance(2, [0.5, 0.5], vmax)
+    with pytest.raises(DomainError):
+        ref.lsa2_asym_guarantee(r, v1_tilde, inst)
+    with pytest.raises(DomainError):
+        ma.lsa2_asym_guarantee(r, v1_tilde, inst)
+
+
+E = 1e-12
+DISTRIBUTIONS = [
+    ([[0.2, 0.3], [1.0, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[0.2, 0.3], [1.0, 0.5]], [0.25, 0.75], None),
+    ([[0.2, 0.3], [1.0, 0.5]], [0.25, 0.75], 1.0),
+    ([[0.2, 0.3], [1.0, 0.5]], [0.25, 0.75], [1.0]),
+    ([[0.2, 0.3], [1.0, 2.5]], [0.25, 0.75], (1.0, 2.5)),
+    ([[0.2, 0.3], [1.0 + E, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[0.2, 0.3], [1.0 + 2 * E, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[0.2, 0.3], [1.0 + 2 * E, 0.5]], [0.25, 0.75], None),
+    ([[0.2, 0.3], [0.5, 1.0 + 2 * E]], [0.25, 0.75], (2.0, 1.0)),
+    ([[-E, 0.3], [0.5, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[-2 * E, 0.3], [0.5, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [-E, 1.0 + E], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [-2 * E, 1.0 + 2 * E], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [0.25, 0.75 + 2 * E], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [0.25, 0.75 + 0.5 * E], (1.0, 1.0)),
+    ([[0.2, np.nan], [0.5, 0.5]], [0.25, 0.75], (1.0, 1.0)),
+    ([[0.2, np.inf], [0.5, 0.5]], [0.25, 0.75], None),
+    ([[0.2, 0.3], [0.5, 0.5]], [np.nan, 0.75], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [-np.inf, np.inf], (1.0, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [0.25, 0.75], (np.nan, 1.0)),
+    ([[0.2, 0.3], [0.5, 0.5]], [1.0], (1.0, 1.0)),
+    ([0.2, 0.3], [1.0], (1.0, 1.0)),
+    ([[0.2, 0.3, 0.1], [0.5, 0.5, 0.9]], [0.5, 0.5], (1.0, 1.0, 0.8)),
+    (np.zeros((0, 2)), np.zeros(0), (1.0, 1.0)),
+    (np.asarray([[0.2, 0.9], [0.5, 0.5]]).T, [0.5, 0.5], (1.0, 0.6)),
+]
+
+
+@pytest.mark.parametrize("atoms, probs, vmax", DISTRIBUTIONS)
+def test_distribution_checks_keep_their_cases_and_bits(atoms, probs, vmax):
+    try:
+        ref_atoms, ref_probs = ref.distribution(atoms, probs, vmax)
+    except DomainError:
+        with pytest.raises(DomainError):
+            ma.DiscreteDistribution(atoms, probs, vmax=vmax)
+        return
+    dist = ma.DiscreteDistribution(atoms, probs, vmax=vmax)
+    assert same_bits(dist.atoms, ref_atoms) and same_bits(dist.probs, ref_probs)
+
+
+def test_distribution_checks_accept_and_reject_alike_on_random_input():
+    """Two to five atoms near the box and probabilities near the simplex."""
+    rng = np.random.default_rng(44)
+    outcomes = set()
+    for _ in range(3_000):
+        n, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        vmax = rng.uniform(0.5, 2.0, n)
+        atoms = rng.uniform(0.0, 1.0, (k, n)) * vmax
+        atoms += rng.choice([0.0, -2e-12, 2e-12, 5e-13], (k, n)) * (
+            rng.random((k, n)) < 0.1)
+        corner = rng.random((k, n)) < 0.2
+        atoms[corner] = np.broadcast_to(vmax, (k, n))[corner]
+        probs = rng.dirichlet(np.ones(k))
+        probs[0] += rng.choice([0.0, 5e-13, 2e-12, -2e-12])
+        bound = vmax if rng.random() < 0.8 else float(vmax.max())
+        try:
+            ref.distribution(atoms, probs, bound)
+        except DomainError:
+            outcomes.add(False)
+            with pytest.raises(DomainError):
+                ma.DiscreteDistribution(atoms, probs, vmax=bound)
+            continue
+        outcomes.add(True)
+        dist = ma.DiscreteDistribution(atoms, probs, vmax=bound)
+        assert same_bits(dist.atoms, atoms) and same_bits(dist.probs, probs)
+    assert outcomes == {True, False}

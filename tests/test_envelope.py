@@ -213,7 +213,7 @@ def test_lagrangian_matches_reference(k, mech):
     inst, lams = instance_and_multipliers(mech, k)
     for coords in grids(mech):
         for lam in lams:
-            assert ma.lagrangian_on_grid(mech, lam, inst, coords) == \
+            assert ma.lagrangian_on_grid([mech], lam, inst, coords)[0] == \
                 reference_lagrangian(mech, lam, inst, coords)
 
 
@@ -226,7 +226,7 @@ def test_lagrangian_matches_reference_on_affine_thresholds(n):
         inst = ma.Instance(n, rng.uniform(0.15, 0.85, n), 1.0)
         coords = [np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 6)]))
                   for _ in range(n)]
-        assert ma.lagrangian_on_grid(pt, pt.lam, inst, coords) == \
+        assert ma.lagrangian_on_grid([pt], pt.lam, inst, coords)[0] == \
             reference_lagrangian(pt, pt.lam, inst, coords)
 
 

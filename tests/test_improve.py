@@ -278,8 +278,8 @@ class TestAuditCoords:
 class TestLagrangianOnGrid:
     def test_optimal_lsa_value(self):
         gm = lsa_grid([0.4, 0.4])
-        val = ma.lagrangian_on_grid(gm, [2 / 3, 2 / 3], INST64,
-                                    nature.breakpoint_coords(gm))
+        val = ma.lagrangian_on_grid([gm], [2 / 3, 2 / 3], INST64,
+                                    nature.breakpoint_coords(gm))[0]
         assert val == pytest.approx(0.32, abs=1e-12)
 
     def test_minorant_dominates_original(self):
@@ -289,45 +289,45 @@ class TestLagrangianOnGrid:
         pt = ma.tilde_transform(gm, lam)
         coords = [np.unique(np.concatenate([np.linspace(0, 1, 9), c]))
                   for c in gm.coords]
-        assert ma.lagrangian_on_grid(pt, lam, INST64, coords) >= \
-            ma.lagrangian_on_grid(gm, lam, INST64, coords) - 1e-9
+        assert ma.lagrangian_on_grid([pt], lam, INST64, coords)[0] >= \
+            ma.lagrangian_on_grid([gm], lam, INST64, coords)[0] - 1e-9
 
     def test_zero_multipliers(self):
         gm = lsa_grid([0.4, 0.4])
-        val = ma.lagrangian_on_grid(gm, [0.0, 0.0], INST64,
-                                    nature.breakpoint_coords(gm))
+        val = ma.lagrangian_on_grid([gm], [0.0, 0.0], INST64,
+                                    nature.breakpoint_coords(gm))[0]
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_tuple_evaluates(self):
         gm = ma.GridMechanism([[0.0, 1.0], [0.0, 1.0]],
                               [np.array([0.2, 0.2]), np.array([0.3, 0.3])])
-        val = ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64,
-                                    nature.breakpoint_coords(gm))
+        val = ma.lagrangian_on_grid([gm], [0.5, 0.5], INST64,
+                                    nature.breakpoint_coords(gm))[0]
         assert np.isfinite(val)
 
     def test_bound_mismatch_raises(self):
         gm = example1_mechanism()
         with pytest.raises(DomainError, match="vmax"):
-            ma.lagrangian_on_grid(gm, [0.5, 0.5],
+            ma.lagrangian_on_grid([gm], [0.5, 0.5],
                                   ma.Instance(2, [0.5, 0.5], 2.0), gm.coords)
 
     def test_bidder_count_mismatch_raises(self):
         gm = example1_mechanism()
         with pytest.raises(DomainError, match="n=2"):
-            ma.lagrangian_on_grid(gm, [0.5] * 3,
+            ma.lagrangian_on_grid([gm], [0.5] * 3,
                                   ma.Instance(3, [0.5] * 3, 1.0), gm.coords)
 
     @pytest.mark.parametrize("lam", [[0.5], [0.5] * 3])
     def test_multiplier_count_mismatch_raises(self, lam):
         gm = example1_mechanism()
         with pytest.raises(DomainError, match="multipliers"):
-            ma.lagrangian_on_grid(gm, lam, INST64, gm.coords)
+            ma.lagrangian_on_grid([gm], lam, INST64, gm.coords)
 
     @pytest.mark.parametrize("axes", [1, 3])
     def test_axis_count_mismatch_raises(self, axes):
         gm = example1_mechanism()
         with pytest.raises(DomainError, match="axis per bidder"):
-            ma.lagrangian_on_grid(gm, [0.5, 0.5], INST64,
+            ma.lagrangian_on_grid([gm], [0.5, 0.5], INST64,
                                   (gm.coords * 2)[:axes])
 
 
