@@ -19,24 +19,6 @@ from .core import GridMechanism, Instance, LinearScoreAuction, corner_hitting
 from .errors import DomainError
 
 
-def _fmt(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_fmt(v)}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_fmt(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -71,35 +53,21 @@ def _parse_mechanism(data, instance: Instance):
     raise DomainError(f"unknown mechanism type {kind!r}")
 
 
-def _distribution_json(dist) -> dict:
-    return {"atoms": [list(a) for a in dist.atoms],
-            "probs": list(dist.probs)}
-
-
 def cmd_optimal(args) -> dict:
     instance = _parse_instance(_load_json(args.instance))
     sol = solve.optimal_reserves(instance)
-    rset = sol.reserve_set
-    out = {
+    return {
         "type": "corner_hitting",
         "regime": sol.regime.value,
-        "lambda": list(sol.lambda_star),
+        "lambda": sol.lambda_star,
         "k_star": sol.k_star,
         "weakly_excluded": sorted(sol.weakly_excluded),
-        "reserves": list(sol.reserves_canonical),
+        "reserves": sol.reserves_canonical,
         "guarantee": sol.guarantee,
+        "reserve_set": {k: v for k, v in
+                        dataclasses.asdict(sol.reserve_set).items()
+                        if v is not None},
     }
-    if rset.kind == "point":
-        out["reserve_set"] = {"kind": "point", "point": list(rset.point)}
-    else:
-        out["reserve_set"] = {
-            "kind": "segment",
-            "included": list(rset.included),
-            "scale_range": list(rset.scale_range),
-            "endpoint_low": list(rset.endpoint_low),
-            "endpoint_high": list(rset.endpoint_high),
-        }
-    return out
 
 
 def cmd_evaluate(args) -> dict:
@@ -112,10 +80,10 @@ def cmd_evaluate(args) -> dict:
     value, dist, cert, _ = nature.mechanism_guarantee(mech, instance, step=step)
     return {
         "guarantee": value,
-        "lambda": list(cert.lam),
+        "lambda": cert.lam,
         "lambda0": cert.lambda0,
         "dual_value": cert.value,
-        "worst_case": _distribution_json(dist),
+        "worst_case": dataclasses.asdict(dist),
     }
 
 
@@ -127,9 +95,9 @@ def cmd_worst_case(args) -> dict:
     lam = nature.lsa2_dual_multipliers(r, instance)
     return {
         "type": kind.value,
-        "lambda": list(lam),
+        "lambda": lam,
         "guarantee": nature.lsa2_guarantee(r, instance),
-        "distribution": _distribution_json(dist),
+        "distribution": dataclasses.asdict(dist),
     }
 
 
@@ -142,20 +110,10 @@ def cmd_improve(args) -> dict:
         out_guarantee = dual.lsa_guarantee(reserves, instance)[0]
     except DomainError:
         out_guarantee = nature.mechanism_guarantee(lsa, instance)[0]
-    return {
-        "type": "corner_hitting",
-        "reserves": reserves,
-        "guarantee": out_guarantee,
-        "audit": {
-            "lambda_raw": list(audit.lambda_raw),
-            "lambda": list(audit.lam),
-            "input_guarantee": audit.input_guarantee,
-            "value_input": audit.value_input,
-            "value_minorant": audit.value_minorant,
-            "value_output": audit.value_output,
-            "fixed_point": list(audit.fixed_point),
-        },
-    }
+    audit = dataclasses.asdict(audit)
+    audit["lambda"] = audit.pop("lam")
+    return {"type": "corner_hitting", "reserves": reserves,
+            "guarantee": out_guarantee, "audit": audit}
 
 
 def cmd_member(args) -> dict:
@@ -200,8 +158,6 @@ def cmd_plot_data(args) -> str:
         for r1 in np.linspace(0.0, instance.means[0] * 0.999, 200):
             r2 = nature.wc_boundary_r2(float(r1), instance)
             rows.append("%.17g,%.17g" % (r1, min(max(r2, 0.0), vmax)))
-    else:
-        raise DomainError(f"unknown figure {args.figure!r}")
     return "\n".join(rows) + "\n"
 
 
@@ -260,7 +216,8 @@ def run(argv=None) -> int:
     if isinstance(result, str):
         sys.stdout.write(result)
     else:
-        sys.stdout.write(_fmt(result) + "\n")
+        sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":"),
+                                    default=np.ndarray.tolist) + "\n")
     return 0
 
 

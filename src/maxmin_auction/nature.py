@@ -424,7 +424,8 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
             t[no_sale] = np.minimum(t[no_sale], 0.0)
         if not np.all(np.isfinite(t)):
             raise DomainError("grid node with no winner candidate and no "
-                              "no-sale limit; refine the grid")
+                              "no-sale limit: the grid reaches past a bound "
+                              "to which a reserve is clipped")
         return t
 
     tables = [np.expand_dims(p, axis=i)
@@ -520,8 +521,6 @@ def brute_force_min(coords, t, instance: Instance) -> float:
     nodes, tvals = grid_nodes(coords), t.ravel()
     N, n = nodes.shape
     k = n + 1
-    if N < k:
-        raise SizeError("grid smaller than a basic support")
     if math.comb(N, k) > BRUTE_FORCE_GUARD:
         raise SizeError(f"{math.comb(N, k)} supports exceed the guard "
                         f"{BRUTE_FORCE_GUARD}")

@@ -32,6 +32,42 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} in the output")
+
+
+def assert_same_bits(out, ref, where="output"):
+    """``out`` has ``ref``'s keys, lengths, ints, strings and booleans, and
+    each of its numbers at a float of ``ref`` is that float, sign of zero
+    included."""
+    if isinstance(ref, float):
+        assert type(out) in (int, float), where
+        assert float(out).hex() == ref.hex(), (where, out, ref)
+    elif isinstance(ref, dict):
+        assert sorted(out) == sorted(ref), where
+        for key in ref:
+            assert_same_bits(out[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(out, list) and len(out) == len(ref), where
+        for i, (o, r) in enumerate(zip(out, ref)):
+            assert_same_bits(o, r, f"{where}[{i}]")
+    else:
+        assert type(out) is type(ref) and out == ref, (where, out, ref)
+
+
+def assert_prints(capsys, argv, ref):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 0 and err == ""
+    assert_same_bits(json.loads(out, parse_constant=_reject_constant), ref)
+
+
+def distribution_ref(dist):
+    return {"atoms": dist.atoms.tolist(), "probs": dist.probs.tolist()}
+
+
+INST64 = ma.Instance(2, [0.64, 0.64], [1.0, 1.0])
+
+
 class TestOptimal:
     def test_figures(self, inst64, capsys):
         code, out, _ = run_capture(capsys, ["optimal", inst64])
@@ -165,7 +201,7 @@ class TestImprove:
         code, out, _ = run_capture(capsys, ["improve", inst, mech])
         assert code == 0
         assert json.loads(out)["reserves"] == [1, 1, 1]
-        assert '"guarantee":0,' in out
+        assert '"guarantee":0.0,' in out
 
 
 class TestMember:
@@ -188,6 +224,91 @@ class TestMember:
         witness = data["witness"]
         assert witness["revenue"] < witness["bound"]
         assert len(witness["values"]) == 2
+
+
+class TestExactNumbers:
+    """Each number the CLI prints parses to the library's float."""
+
+    @pytest.mark.parametrize("means", [[0.64, 0.64], [0.3, 0.9, 0.95]],
+                             ids=["low-means", "high-means"])
+    def test_optimal(self, tmp_path, capsys, means):
+        n = len(means)
+        path = write(tmp_path, "i.json",
+                     {"n": n, "vmax": [1] * n, "means": means})
+        sol = ma.optimal_reserves(ma.Instance(n, means, [1.0] * n))
+        rset = sol.reserve_set
+        if rset.kind == "point":
+            reserve_set = {"kind": "point", "point": rset.point.tolist()}
+        else:
+            reserve_set = {"kind": "segment", "included": list(rset.included),
+                           "scale_range": list(rset.scale_range),
+                           "endpoint_low": rset.endpoint_low.tolist(),
+                           "endpoint_high": rset.endpoint_high.tolist()}
+        assert_prints(capsys, ["optimal", path], {
+            "type": "corner_hitting", "regime": sol.regime.value,
+            "lambda": sol.lambda_star.tolist(), "k_star": sol.k_star,
+            "weakly_excluded": sorted(sol.weakly_excluded),
+            "reserves": sol.reserves_canonical.tolist(),
+            "guarantee": sol.guarantee, "reserve_set": reserve_set})
+
+    @pytest.mark.parametrize("data, mech, step", [
+        ({"type": "lsa", "alphas": [2 / 3, 0.0], "betas": [5 / 3, 1.0],
+          "excluded": [False, True]},
+         ma.LinearScoreAuction((2 / 3, 0.0), (5 / 3, 1.0), (1.0, 1.0),
+                               (False, True)), None),
+        (GRID_2, ma.GridMechanism(GRID_2["coords"], GRID_2["thresholds"]),
+         0.05),
+    ], ids=["lsa", "grid"])
+    def test_evaluate(self, inst64, tmp_path, capsys, data, mech, step):
+        value, dist, cert, _ = ma.mechanism_guarantee(mech, INST64, step=step)
+        assert_prints(capsys, ["evaluate", inst64, write(tmp_path, "m.json",
+                                                         data)], {
+            "guarantee": value, "lambda": cert.lam.tolist(),
+            "lambda0": cert.lambda0, "dual_value": cert.value,
+            "worst_case": distribution_ref(dist)})
+
+    def test_improve(self, inst64, tmp_path, capsys):
+        mech = write(tmp_path, "m.json",
+                     {"type": "corner_hitting", "reserves": [0.3, 0.45]})
+        lsa, audit = ma.dominating_lsa(
+            ma.corner_hitting([0.3, 0.45], INST64.vmax), INST64)
+        reserves = [lsa.reserve(i) for i in range(lsa.n)]
+        assert_prints(capsys, ["improve", inst64, mech], {
+            "type": "corner_hitting", "reserves": reserves,
+            "guarantee": ma.lsa_guarantee(reserves, INST64)[0],
+            "audit": {"lambda_raw": audit.lambda_raw.tolist(),
+                      "lambda": audit.lam.tolist(),
+                      "input_guarantee": audit.input_guarantee,
+                      "value_input": audit.value_input,
+                      "value_minorant": audit.value_minorant,
+                      "value_output": audit.value_output,
+                      "fixed_point": audit.fixed_point.tolist()}})
+
+    @pytest.mark.parametrize("reserves, kind", [
+        ("0.2,0.2", "I"), ("0.45,0.5", "II"), ("0.55,0.55", "III")])
+    def test_worst_case(self, tmp_path, capsys, reserves, kind):
+        path = write(tmp_path, "i.json",
+                     {"n": 2, "vmax": [1, 1], "means": [0.7, 0.6]})
+        inst = ma.Instance(2, [0.7, 0.6], [1.0, 1.0])
+        r = [float(x) for x in reserves.split(",")]
+        assert ma.wcdistr2_classify(r, inst).value == kind
+        assert_prints(capsys, ["worst-case", path, "--reserves", reserves], {
+            "type": kind,
+            "lambda": ma.lsa2_dual_multipliers(r, inst).tolist(),
+            "guarantee": ma.lsa2_guarantee(r, inst),
+            "distribution": distribution_ref(
+                ma.wcdistr2_construct(r, inst))})
+
+    def test_member_witness(self, inst64, tmp_path, capsys):
+        mech = write(tmp_path, "m.json",
+                     {"type": "corner_hitting", "reserves": [0.3, 0.3]})
+        ok, witness = ma.member(ma.corner_hitting([0.3, 0.3], INST64.vmax),
+                                INST64)
+        assert ok is False
+        assert_prints(capsys, ["member", inst64, mech], {
+            "member": False,
+            "witness": {"values": list(witness.values),
+                        "revenue": witness.revenue, "bound": witness.bound}})
 
 
 class TestPlotData:
@@ -213,6 +334,13 @@ class TestPlotData:
         high = [float(x) for x in rows[2].split(",")[1:]]
         assert low == pytest.approx([0.0, 0.3], abs=1e-9)
         assert high == pytest.approx([7 / 17, 10 / 17], abs=1e-9)
+
+    def test_reserve_set_csv_at_low_means(self, inst64, capsys):
+        code, out, _ = run_capture(
+            capsys, ["plot-data", inst64, "--figure", "reserve-set"])
+        assert code == 0
+        point = ma.optimal_reserves(INST64).reserve_set.point
+        assert out == "label,r1,r2\npoint,%.17g,%.17g\n" % tuple(point)
 
     def test_regimes_csv(self, tmp_path, capsys):
         inst = write(tmp_path, "i.json",
@@ -332,13 +460,22 @@ class TestErrors:
         {"n": 2.9, "vmax": [1, 1], "means": [0.5, 0.5]},
         {"n": "2", "vmax": [1, 1], "means": [0.5, 0.5]},
         {"n": 2, "vmax": [1, 1], "means": {"a": 0.5}},
+        {"n": 2, "vmax": [1, 1]},
     ], ids=["list", "string", "null-n", "list-n", "float-n", "string-n",
-            "object-means"])
+            "object-means", "missing-means"])
     def test_mistyped_instance_is_exit_1(self, tmp_path, capsys, instance):
         path = write(tmp_path, "i.json", instance)
         code, out, err = run_capture(capsys, ["optimal", path])
         assert code == 1 and out == ""
         assert "instance file" in json.loads(err)["error"]
+
+    def test_wc_types_figure_needs_two_bidders(self, tmp_path, capsys):
+        inst = write(tmp_path, "i.json",
+                     {"n": 3, "vmax": [1, 1, 1], "means": [0.5, 0.5, 0.5]})
+        code, out, err = run_capture(
+            capsys, ["plot-data", inst, "--figure", "wc-types"])
+        assert code == 1 and out == ""
+        assert "two bidders" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("mechanism", [
         [1, 2],

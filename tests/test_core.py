@@ -43,6 +43,22 @@ class TestInstance:
             inst.common_vmax()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: ma.Instance(2, [0.5] * 3, 1.0), "length n"),
+    (lambda: ma.LinearScoreAuction((0.5, 0.5), (1.0,), (1.0, 1.0)),
+     "lengths disagree"),
+    (lambda: ma.LinearScoreAuction((-0.1, 0.5), (1.0, 1.0), (1.0, 1.0)),
+     "alpha >= 0"),
+    (lambda: ma.GridMechanism([[0, 1], [0, 1]], [[0.5, 0.5]]),
+     "one threshold table per bidder"),
+    (lambda: ma.grid_from_lsa(lsa_04(), [[0, 0.4, 1]]), "one grid axis"),
+], ids=["means-length", "lsa-lengths", "negative-alpha", "one-table",
+        "one-axis"])
+def test_malformed_types_raise(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 class TestScore:
     def test_zero_at_reserve(self):
         assert lsa_04().score(0, 0.4) == pytest.approx(0.0, abs=1e-15)

@@ -296,6 +296,14 @@ class TestBadInput:
         with pytest.raises(DomainError):
             ENTRY_POINTS[entry]([0.3, 0.2], BAD_MULTIPLIERS[case])
 
+    @pytest.mark.parametrize("call", [
+        lambda inst: ma.lsa2_asym_lagrangian([0.3] * 3, 1.0, [0.2] * 3, inst),
+        lambda inst: ma.lsa2_asym_guarantee([0.3] * 3, 1.0, inst),
+    ], ids=["lagrangian", "guarantee"])
+    def test_asymmetric_forms_need_two_bidders(self, call):
+        with pytest.raises(DomainError, match="two bidders"):
+            call(ma.Instance(3, [0.5] * 3, 1.0))
+
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_good_input_still_accepted(self, entry):
         out = ENTRY_POINTS[entry]([0.3, 0.2], [0.2, 0.2])

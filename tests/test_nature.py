@@ -542,3 +542,42 @@ def test_fix_natures_lower_envelope_n2_residue():
         values.append(nature.mechanism_guarantee(ma.GridMechanism(c, c),
                                                  inst)[0])
     assert values[0] == pytest.approx(values[1], abs=1e-3)
+
+
+def _table_past_a_clipped_reserve():
+    # bidder 1's reserve 2 is clipped to her bound 1, and the grid reaches
+    # 1.5: there she neither wins nor stays in the no-sale region
+    mech = ma.LinearScoreAuction((2.0, 0.5), (1.0, 1.0), (1.0, 1.0))
+    return nature.lower_revenue_table(mech, [[0, 1, 1.5], [0, 0.25, 1]])
+
+
+INST3 = ma.Instance(3, [0.5] * 3, 1.0)
+ERROR_PATHS = {
+    "lp-table-size": (DomainError, "does not match the grid",
+                      lambda: nature.worst_case_lp(
+                          [[0.0, 1.0]] * 2, np.zeros(3), EX1_INSTANCE)),
+    "dual-table-size": (DomainError, "does not match the grid",
+                        lambda: nature.dual_value([[0.0, 1.0]] * 2,
+                                                  np.zeros(5), EX1_INSTANCE,
+                                                  [0.5, 0.5])),
+    "means-outside-grid": (SizeError, "no feasible support",
+                           lambda: nature.brute_force_min(
+                               [[0.0, 0.4]] * 2, np.zeros(4), EX1_INSTANCE)),
+    "past-clipped-reserve": (DomainError, "reserve is clipped",
+                             _table_past_a_clipped_reserve),
+    "classify-n3": (DomainError, "two bidders",
+                    lambda: nature.wcdistr2_classify([0.1] * 3, INST3)),
+    "construct-n3": (DomainError, "two bidders",
+                     lambda: nature.wcdistr2_construct([0.1] * 3, INST3)),
+    "multipliers-n3": (DomainError, "two bidders",
+                       lambda: nature.lsa2_dual_multipliers([0.1] * 3, INST3)),
+    "guarantee-n3": (DomainError, "two bidders",
+                     lambda: nature.lsa2_guarantee([0.1] * 3, INST3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths(case):
+    error, match, call = ERROR_PATHS[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -158,6 +158,21 @@ class TestReserveIsOptimal:
             sol = ma.optimal_reserves(inst)
             assert ma.reserve_is_optimal(sol.reserves_canonical, inst)
 
+    @pytest.mark.parametrize("r", [[1.2, 0.3, 0.4], [-0.1, 0.3, 0.4],
+                                   [0.2, 0.3]], ids=["above", "below",
+                                                     "short"])
+    def test_rejects_reserves_off_the_box(self, r):
+        assert not ma.reserve_is_optimal(r, ma.Instance(3, [0.8, 0.85, 0.9],
+                                                        1.0))
+
+    def test_rejects_unequal_scales(self):
+        # the segment's reserves share one scale s; raising r_1 breaks it
+        inst = ma.Instance(3, [0.8, 0.85, 0.9], 1.0)
+        r = ma.optimal_reserves(inst).reserves_canonical.copy()
+        assert ma.reserve_is_optimal(r, inst)
+        r[0] += 0.01
+        assert not ma.reserve_is_optimal(r, inst)
+
 
 class TestSymmetricReserveSet:
     def test_point_when_few_bidders(self):
@@ -192,6 +207,10 @@ class TestSymmetricReserveSet:
 
 
 class TestAsymmetric2:
+    def test_needs_two_bidders(self):
+        with pytest.raises(DomainError, match="two bidders"):
+            ma.asymmetric2_solve(ma.Instance(3, [0.5] * 3, 1.0))
+
     def test_low_means(self):
         inst = ma.Instance(2, [1.0, 0.5], [2.0, 1.0])
         sol = ma.asymmetric2_solve(inst)
