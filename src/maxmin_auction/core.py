@@ -68,8 +68,28 @@ def drop(values: Sequence[float], i: int) -> np.ndarray:
     return np.delete(v, i)
 
 
+class ThresholdRule:
+    """A mechanism that writes its threshold rule once, as ``table(i,
+    coords)``: p_i on the product of bidder i's rival coordinate lists.
+    ``GridMechanism`` keeps a scalar ``threshold`` of its own, with the
+    same bits, because the one-point table costs more there."""
+
+    def tables(self, coords) -> list[np.ndarray]:
+        """p_i on the product of bidder i's rival coordinate lists, each i."""
+        return [self.table(i, coords) for i in range(self.n)]
+
+    def threshold(self, i: int, v_others: Sequence[float]) -> float:
+        """p_i at one rival profile: bidder i's table on the one-point grid
+        at ``v_others`` (her own point is never read)."""
+        if len(v_others) != self.n - 1:
+            raise DomainError(f"need {self.n - 1} rival values")
+        coords = [[x] for x in v_others]
+        coords.insert(i, [0.0])
+        return self.table(i, coords).item()
+
+
 @dataclass(frozen=True)
-class LinearScoreAuction:
+class LinearScoreAuction(ThresholdRule):
     """Affine-score mechanism: the highest nonnegative score wins.
 
     ``excluded[i]`` means bidder i can never win; her score is never compared.
@@ -139,7 +159,7 @@ class LinearScoreAuction:
         for j, w in zip(rivals, v_others):
             if not (self.excluded[i] or self.excluded[j]):
                 self.score(j, w)         # DomainError outside [0, vmax_j]
-        return table_node(self, i, v_others)
+        return super().threshold(i, v_others)
 
     def payment(self, v: Sequence[float]) -> np.ndarray:
         """Per-bidder transfers at profile v: the winner pays her threshold."""
@@ -149,27 +169,22 @@ class LinearScoreAuction:
             t[winner] = self.threshold(winner, drop(v, winner))
         return t
 
-    def unclamped_tables(self, coords) -> list[np.ndarray]:
+    def unclamped_table(self, i: int, coords) -> np.ndarray:
         """(alpha_i + max(0, rival scores)) / beta_i on the product of bidder
-        i's rival coordinate lists, each i; ``+inf`` for an excluded bidder."""
-        out = []
-        for i in range(self.n):
-            axes = rival_axes(coords, i)
-            shape = tuple(a.size for _, a in axes)
-            if self.excluded[i]:
-                out.append(np.full(shape, np.inf))
-                continue
-            best = np.zeros(shape)
-            for j, a in axes:
-                if not self.excluded[j]:
-                    best = np.maximum(best, self.betas[j] * a - self.alphas[j])
-            out.append((self.alphas[i] + best) / self.betas[i])
-        return out
+        i's rival coordinate lists; ``+inf`` for an excluded bidder."""
+        axes = rival_axes(coords, i)
+        shape = tuple(a.size for _, a in axes)
+        if self.excluded[i]:
+            return np.full(shape, np.inf)
+        best = np.zeros(shape)
+        for j, a in axes:
+            if not self.excluded[j]:
+                best = np.maximum(best, self.betas[j] * a - self.alphas[j])
+        return (self.alphas[i] + best) / self.betas[i]
 
-    def tables(self, coords) -> list[np.ndarray]:
-        """p_i on the product of bidder i's rival coordinate lists, each i."""
-        return [np.clip(p, 0.0, vm)
-                for p, vm in zip(self.unclamped_tables(coords), self.vmax)]
+    def table(self, i: int, coords) -> np.ndarray:
+        """p_i on the product of bidder i's rival coordinate lists."""
+        return np.clip(self.unclamped_table(i, coords), 0.0, self.vmax[i])
 
 
 def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
@@ -200,7 +215,7 @@ def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
 
 
 @dataclass(frozen=True)
-class GridMechanism:
+class GridMechanism(ThresholdRule):
     """Thresholds tabulated on per-bidder coordinate grids.
 
     ``coords[i]`` is strictly increasing and covers [0, vmax_i] with both
@@ -258,17 +273,14 @@ class GridMechanism:
 
     payment = LinearScoreAuction.payment
 
-    def tables(self, coords) -> list[np.ndarray]:
-        """p_i on the product of bidder i's rival coordinate lists, each i;
+    def table(self, i: int, coords) -> np.ndarray:
+        """p_i on the product of bidder i's rival coordinate lists;
         ``np.interp`` for one rival, multilinear interpolation for more."""
-        out = []
-        for i, t in enumerate(self.thresholds):
-            if self.n == 2:
-                out.append(np.interp(coords[1 - i], self.coords[1 - i], t))
-            else:
-                out.append(_multilinear_grid(t, [
-                    (self.coords[j], a) for j, a in rival_axes(coords, i)]))
-        return out
+        t = self.thresholds[i]
+        if self.n == 2:
+            return np.interp(coords[1 - i], self.coords[1 - i], t)
+        return _multilinear_grid(t, [(self.coords[j], a)
+                                     for j, a in rival_axes(coords, i)])
 
 
 Mechanism = Union[LinearScoreAuction, GridMechanism]
@@ -336,16 +348,6 @@ def multilinear(flat: Sequence[float], shape: Sequence[int],
     return total
 
 
-def table_node(mech, i: int, v_others: Sequence[float]) -> float:
-    """p_i at one rival profile: the node of ``mech.tables`` on the
-    one-point grid at ``v_others`` (bidder i's own point is never read)."""
-    if len(v_others) != mech.n - 1:
-        raise DomainError(f"need {mech.n - 1} rival values")
-    coords = [[x] for x in v_others]
-    coords.insert(i, [0.0])
-    return mech.tables(coords)[i].item()
-
-
 def revenue(mech: Mechanism, v: Sequence[float]) -> float:
     """Total transfer collected at profile v."""
     return float(np.sum(mech.payment(v)))
@@ -366,14 +368,47 @@ def check_feasible(mech: Mechanism) -> None:
         raise FeasibilityError(f"supply violated at {values}")
 
 
+def check_grid(coords, vmax, t=None):
+    """The axes as float arrays, and the table t (when given) as a float
+    array shaped like their product grid.  Raises ``DomainError`` unless
+    there is one axis per bound in vmax, each of at least two strictly
+    increasing coordinates within [0, vmax_i] (to ``COMP_TOL``), and t has
+    one entry per node."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    if len(coords) != len(vmax):
+        raise DomainError(f"need one grid axis per bidder ({len(vmax)}), "
+                          f"got {len(coords)}")
+    for c, vm in zip(coords, vmax):
+        if c.ndim != 1 or c.shape[0] < 2 or not (c[1:] > c[:-1]).all():
+            raise DomainError("each axis needs at least two increasing "
+                              "coordinates")
+        if not (c[0] >= -COMP_TOL and c[-1] <= vm + COMP_TOL):
+            raise DomainError(f"grid axis [{c[0]}, {c[-1]}] reaches past "
+                              f"the bounds [0, {vm}]")
+    if t is not None:
+        shape = tuple(c.shape[0] for c in coords)
+        t = np.asarray(t, dtype=float)
+        if t.size != math.prod(shape):
+            raise DomainError("revenue table does not match the grid")
+        t = t.reshape(shape)
+    return coords, t
+
+
 def grid_from_lsa(lsa: LinearScoreAuction, coords) -> GridMechanism:
     """Tabulate an affine-score mechanism's thresholds on the given grids."""
-    if len(coords) != lsa.n:
-        raise DomainError("need one grid axis per bidder")
-    mech = GridMechanism(coords, lsa.tables(coords))   # axes start at 0
-    if any(v > vm + COMP_TOL for v, vm in zip(mech.vmax, lsa.vmax)):
-        raise DomainError(f"grid reaches past the bounds {lsa.vmax}")
-    return mech
+    coords, _ = check_grid(coords, lsa.vmax)
+    return GridMechanism(coords, lsa.tables(coords))   # axes start at 0
+
+
+def check_multipliers(lam, n: int, nonnegative: bool = False) -> np.ndarray:
+    """lam as a float array; ``DomainError`` unless it holds n finite
+    values, and nonnegative ones when ``nonnegative`` is set."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,) or not np.isfinite(lam).all() or (
+            nonnegative and lam.min() < 0.0):
+        kind = "finite nonnegative" if nonnegative else "finite"
+        raise DomainError(f"need {n} {kind} multipliers, got {lam.tolist()}")
+    return lam
 
 
 def check_compatible(mech, instance: Instance) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, check_multipliers
 from .errors import DomainError
 from .simplex import solve_lp  # noqa: F401  unused here; perfbench wraps dual.solve_lp
 
@@ -44,10 +44,7 @@ def _checked(r, lam, instance: Instance, upper):
         if not 0.0 <= x <= u:
             raise DomainError("reserves outside the box")
     if lam is not None:
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != shape or not (lam.min() >= 0.0 and lam.max() < np.inf):
-            raise DomainError(f"closed form requires {instance.n} finite "
-                              f"nonnegative multipliers, got {lam.tolist()}")
+        lam = check_multipliers(lam, instance.n, nonnegative=True)
     return r, lam
 
 

@@ -18,15 +18,15 @@ import numpy as np
 
 from . import nature
 from .core import (GridMechanism, Instance, LinearScoreAuction, Mechanism,
-                   check_compatible, check_feasible, corner_hitting,
-                   rival_axes, table_node)
+                   ThresholdRule, check_compatible, check_feasible, check_grid,
+                   check_multipliers, corner_hitting, rival_axes)
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class AffineThresholds:
+class AffineThresholds(ThresholdRule):
     """Thresholds p_i(v_{-i}) = max(lam_{-i} @ v_{-i} + b_i, 0)."""
 
     b: np.ndarray
@@ -37,8 +37,6 @@ class AffineThresholds:
     def n(self) -> int:
         return len(self.b)
 
-    threshold = table_node
-
     def curve(self, s) -> np.ndarray:
         """v(S) = clip((S + b) / (1 + lam), 0, vmax): each bidder's solution
         of v_i = clip(p_i(v_{-i}), 0, vmax_i) given S = lam @ v, one row per
@@ -47,10 +45,10 @@ class AffineThresholds:
                                      / (1.0 + self.lam), 0.0),
                           np.asarray(self.vmax, dtype=float))
 
-    def tables(self, coords) -> list[np.ndarray]:
-        """p_i on the product of bidder i's rival coordinate lists, each i."""
-        return [np.maximum(sum(self.lam[j] * a for j, a in rival_axes(coords, i))
-                           + self.b[i], 0.0) for i in range(self.n)]
+    def table(self, i: int, coords) -> np.ndarray:
+        """p_i on the product of bidder i's rival coordinate lists."""
+        return np.maximum(sum(self.lam[j] * a for j, a in rival_axes(coords, i))
+                          + self.b[i], 0.0)
 
 
 def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarray]:
@@ -62,10 +60,7 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
     round-off (-8e-17 against 0.0) cannot decide the split.  Raises
     ``DomainError`` unless lam holds n finite values.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (mech.n,) or not np.isfinite(lam).all():
-        raise DomainError(f"need {mech.n} finite multipliers, got "
-                          f"{lam.tolist()}")
+    lam = check_multipliers(lam, mech.n)
     if np.all(lam > 0.0):
         return mech, lam.copy()
     tables = []
@@ -80,10 +75,7 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
 
 def tilde_transform(mech: GridMechanism, lam) -> AffineThresholds:
     """Supporting affine minorant of each threshold with slopes lam_{-i}."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (mech.n,) or not ((lam >= 0.0) & (lam < np.inf)).all():
-        raise DomainError(f"minorant slopes must be {mech.n} finite "
-                          f"nonnegative values, got {lam.tolist()}")
+    lam = check_multipliers(lam, mech.n, nonnegative=True)
     b = np.array([np.min(t - sum(lam[j] * a
                                  for j, a in rival_axes(mech.coords, i)))
                   for i, t in enumerate(mech.thresholds)])
@@ -102,9 +94,7 @@ def least_fixed_point(pt: AffineThresholds) -> np.ndarray:
     knot of [0, lam @ vmax] where h <= 1e-12 * scale or, if h < 0 there, the
     root of the piece before it.  One debug line gives S and that piece.
     """
-    lam, b = pt.lam, pt.b
-    if not np.all(lam >= 0.0):           # NaN fails too
-        raise DomainError("least fixed point needs nonnegative multipliers")
+    lam, b = check_multipliers(pt.lam, pt.n, nonnegative=True), pt.b
     vmax = np.asarray(pt.vmax, dtype=float)
     tol = 1e-12 * max(1.0, float(vmax.max()))
 
@@ -139,7 +129,7 @@ def lagrangian_on_grid(families, lam, instance: Instance, coords) -> list[float]
         check_compatible(thresholds, instance)
         if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
             raise DomainError("affine minorants assume nonnegative multipliers")
-    coords, _ = nature.check_grid(coords, instance.n)
+    coords, _ = check_grid(coords, instance.vmax)
     tol = 1e-12 * max(1.0, max(float(c[-1]) for c in coords))
     grids = np.meshgrid(*coords, indexing="ij", sparse=True)
     tables = [np.expand_dims(np.stack(p), axis=i + 1) for i, p in

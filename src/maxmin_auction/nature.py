@@ -20,8 +20,8 @@ import numpy as np
 
 from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
-                   LinearScoreAuction, check_compatible, corner_hitting,
-                   grid_nodes)
+                   LinearScoreAuction, check_compatible, check_grid,
+                   check_multipliers, corner_hitting, grid_nodes)
 from .dual import _lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
@@ -72,28 +72,6 @@ def dedup_sorted(values, tol: float, snap) -> np.ndarray:
     return np.asarray(out)
 
 
-def check_grid(coords, n: int, t=None):
-    """The axes as float arrays, and the table t (when given) as a float
-    array shaped like their product grid.  Raises ``DomainError`` unless
-    there are n axes of at least two strictly increasing coordinates and t
-    has one entry per node."""
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    if len(coords) != n:
-        raise DomainError(f"need one coordinate axis per bidder ({n}), got "
-                          f"{len(coords)}")
-    for c in coords:
-        if c.ndim != 1 or c.shape[0] < 2 or not (c[1:] > c[:-1]).all():
-            raise DomainError("each axis needs at least two increasing "
-                              "coordinates")
-    if t is not None:
-        shape = tuple(c.shape[0] for c in coords)
-        t = np.asarray(t, dtype=float)
-        if t.size != math.prod(shape):
-            raise DomainError("revenue table does not match the grid")
-        t = t.reshape(shape)
-    return coords, t
-
-
 def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     """Per-bidder coordinates covering the box with all threshold breakpoints.
 
@@ -108,8 +86,9 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     regions meet the other curve only where the curves coincide, so every
     vertex of a piece on which revenue is affine is a product of coords,
     induced thresholds p_i(c) and curve crossings (no inverse images).
-    A ``step`` refines that closed grid with a uniform one, merged once after
-    the closure, so every breakpoint stays; it must be finite and positive,
+    A ``step`` refines that closed grid with a uniform one on [0, vmax_i),
+    merged once after the closure, so every breakpoint stays and no axis
+    reaches past its bound; it must be finite and positive,
     and raises ``SizeError`` when the uniform grid alone would have more
     than ``MAX_STEP_NODES`` nodes.
     """
@@ -152,7 +131,7 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
             break
     if step is not None:
         coords = [dedup_sorted(np.concatenate(
-            [c, np.arange(0.0, vmax[i] + step / 2, step)]), tol,
+            [c, np.arange(0.0, vmax[i], step)]), tol,
             snap=(0.0, vmax[i])) for i, c in enumerate(coords)]
     return coords
 
@@ -402,7 +381,7 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     A winner candidate contributes her threshold whenever her value reaches
     it; zero contributes wherever the no-sale region accumulates.
     """
-    coords, _ = check_grid(coords, mech.n)
+    coords, _ = check_grid(coords, mech.vmax)
     n = len(coords)
     shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
@@ -413,8 +392,8 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
         # A bidder is a winner candidate where her value reaches the raw
         # score threshold; a threshold clamped at her bound means she cannot
         # win there at all (this matters only under unequal bounds).
-        raw = [np.expand_dims(p, axis=i)
-               for i, p in enumerate(mech.unclamped_tables(coords))]
+        raw = [np.expand_dims(mech.unclamped_table(i, coords), axis=i)
+               for i in range(n)]
         t = least_winning_threshold(value_grids, raw, tol)
         # No-sale profiles accumulate exactly below the reserves.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
@@ -422,10 +401,6 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
             for i in mech.included():
                 no_sale &= value_grids[i] <= mech.reserve(i) + tol
             t[no_sale] = np.minimum(t[no_sale], 0.0)
-        if not np.all(np.isfinite(t)):
-            raise DomainError("grid node with no winner candidate and no "
-                              "no-sale limit: the grid reaches past a bound "
-                              "to which a reserve is clipped")
         return t
 
     tables = [np.expand_dims(p, axis=i)
@@ -452,7 +427,7 @@ def worst_case_lp(coords, t, instance: Instance):
     the Freudenthal corners of the grid's box, which hold the means.
     """
     n = instance.n
-    coords, t = check_grid(coords, n, t)
+    coords, t = check_grid(coords, instance.vmax, t)
     shape, tvals = t.shape, t.ravel()
     A = np.empty((n + 1, tvals.shape[0]))
     A[0] = 1.0
@@ -494,7 +469,7 @@ def _freudenthal_corners(coords, means) -> list[int]:
 
 def dual_value(coords, t, instance: Instance, lam) -> float:
     """lam @ m plus the minimum of t - lam @ v over the grid nodes."""
-    coords, t = check_grid(coords, instance.n, t)
+    coords, t = check_grid(coords, instance.vmax, t)
     grids = np.meshgrid(*coords, indexing="ij", sparse=True)
     return _dual_values(grids, [t], instance, lam)[0]
 
@@ -502,10 +477,7 @@ def dual_value(coords, t, instance: Instance, lam) -> float:
 def _dual_values(grids, tables, instance: Instance, lam) -> list[float]:
     """``dual_value`` of each table on the open mesh ``grids``, with one
     lam @ v; ``DomainError`` unless lam holds n finite values."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (instance.n,) or not np.isfinite(lam).all():
-        raise DomainError(f"need {instance.n} finite multipliers, got "
-                          f"{lam.tolist()}")
+    lam = check_multipliers(lam, instance.n)
     lam_dot_v = sum(lam[i] * grids[i] for i in range(len(grids)))
     return [float(lam @ instance.mean_vector + np.min(t - lam_dot_v))
             for t in tables]
@@ -517,7 +489,7 @@ def brute_force_min(coords, t, instance: Instance) -> float:
     Independent of the simplex path: each candidate support solves a square
     linear system for its probabilities.
     """
-    coords, t = check_grid(coords, instance.n, t)
+    coords, t = check_grid(coords, instance.vmax, t)
     nodes, tvals = grid_nodes(coords), t.ravel()
     N, n = nodes.shape
     k = n + 1

@@ -32,7 +32,7 @@ def least_winning_threshold(values, thresholds, tol):
 
 
 def dual_value(coords, t, instance, lam):
-    coords, t = check_grid(coords, instance.n, t)
+    coords, t = check_grid(coords, instance.vmax, t)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.n,) or not np.isfinite(lam).all():
         raise DomainError("multipliers")
@@ -47,7 +47,7 @@ def lagrangian_on_grid(thresholds, lam, instance, coords):
     check_compatible(thresholds, instance)
     if isinstance(thresholds, AffineThresholds) and np.any(lam < 0):
         raise DomainError("affine minorants assume nonnegative multipliers")
-    coords, _ = check_grid(coords, instance.n)
+    coords, _ = check_grid(coords, instance.vmax)
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-12 * scale
 

@@ -125,6 +125,13 @@ class TestLeastFixedPoint:
         with pytest.raises(DomainError, match="nonnegative"):
             ma.least_fixed_point(pt)
 
+    @pytest.mark.parametrize("b, lam", [([0.1, 0.1], [np.inf, 0.5]),
+                                        ([0.1] * 3, [0.5, 0.5])])
+    def test_rejects_infinite_or_too_few_multipliers(self, b, lam):
+        pt = AffineThresholds(np.array(b), np.array(lam), (1.0,) * len(b))
+        with pytest.raises(DomainError, match="finite nonnegative multipliers"):
+            ma.least_fixed_point(pt)
+
     @pytest.mark.parametrize("lam, b, expected", [
         ((1.0, 1.0 - 1e-12), (1e-9, 0.0), (1.0, 1.0)),
         ((1.0, 1.0 - 1e-9), (1e-6, 0.0), (1.0, 1.0)),

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxmin_auction as ma
 from generators import (random_corner_lsa, random_feasible_mechanism,
@@ -230,6 +232,18 @@ class TestGridStep:
                 value, *_ = nature.mechanism_guarantee(lsa, inst, step=step)
                 assert value == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_step_past_the_bound_stays_in_the_box(self, n):
+        """A step that does not divide the bound (0.6, whose uniform grid
+        would reach 1.2) adds no point past it; the value stays exact."""
+        inst = ma.Instance(n, [0.64, 0.6, 0.5][:n], 1.0)
+        r = [0.3, 0.2, 0.5][:n]
+        lsa = ma.corner_hitting(r, inst.vmax)
+        for c in nature.breakpoint_coords(lsa, step=0.6):
+            assert c[0] == 0.0 and c[-1] == 1.0
+        value, *_ = nature.mechanism_guarantee(lsa, inst, step=0.6)
+        assert value == pytest.approx(ma.lsa_guarantee(r, inst)[0], abs=1e-9)
+
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_step_must_be_finite_and_positive(self, step):
         with pytest.raises(DomainError, match="grid step"):
@@ -367,6 +381,57 @@ class TestGridChecks:
             mech = ma.grid_from_lsa(mech, coords)
         with pytest.raises(DomainError, match="axis per bidder"):
             nature.lower_revenue_table(mech, (coords * 2)[:axes])
+
+    @pytest.mark.parametrize("call", [
+        lambda: nature.lower_revenue_table(
+            ma.corner_hitting([0.3, 0.3], [1, 1]), [[0, 0.5, 1.5], [0, 1]]),
+        lambda: ma.lagrangian_on_grid(
+            [ma.grid_from_lsa(ma.corner_hitting([0.3, 0.3], [1, 1]),
+                              [[0, 0.3, 1]] * 2)], [0.5, 0.5],
+            ma.Instance(2, [0.6, 0.6], 1.0), [[0, 0.3, 1, 1.5], [0, 0.3, 1]]),
+        lambda: nature.dual_value([[0, 1, 1.5], [0, 1]], np.zeros(6),
+                                  ma.Instance(2, [0.6, 0.6], 1.0), [0.5, 0.5]),
+        lambda: nature.dual_value([[-0.5, 0, 1], [0, 1]], np.zeros(6),
+                                  ma.Instance(2, [0.6, 0.6], 1.0), [0.5, 0.5]),
+        lambda: nature.worst_case_lp([[0, 1, 1.5], [0, 1]], np.zeros(6),
+                                     ma.Instance(2, [0.6, 0.6], 1.0)),
+        lambda: nature.brute_force_min([[0, 1, 1.5], [0, 1]], np.zeros(6),
+                                       ma.Instance(2, [0.6, 0.6], 1.0)),
+    ], ids=["lower-revenue-table", "lagrangian-on-grid", "dual-value",
+            "dual-value-below-zero", "worst-case-lp", "brute-force"])
+    def test_axes_past_the_bounds_raise(self, call):
+        with pytest.raises(DomainError, match="reaches past the bounds"):
+            call()
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lsa_revenue_table_is_finite_on_in_box_grids(seed):
+    """Inside the box every node of a score auction's table has a winner
+    candidate or is a no-sale limit: n = 2 to 4, equal or unequal bounds,
+    excluded bidders, zero reserves and reserves clipped to their bound."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    vmax = rng.uniform(0.5, 2.0, n) if rng.random() < 0.5 else np.ones(n)
+    if rng.random() < 0.5:
+        r = rng.uniform(0.0, 1.0, n) * vmax
+        r[rng.random(n) < 0.2] = 0.0
+        top = rng.random(n) < 0.2              # excluded bidders
+        r[top] = vmax[top]
+        lsa = ma.corner_hitting(r, vmax)
+    else:                     # alpha / beta may pass vmax: a clipped reserve
+        lsa = ma.LinearScoreAuction(
+            tuple(rng.uniform(0.0, 1.5, n) * vmax * (rng.random(n) > 0.2)),
+            tuple(rng.uniform(0.3, 3.0, n)), tuple(vmax),
+            tuple(bool(e) for e in rng.random(n) < 0.2))
+    coords = []
+    for vm in vmax:
+        pts = rng.uniform(0.0, vm, int(rng.integers(1, 6)))
+        ends = [x for x, keep in zip((0.0, vm), rng.random(2) < 0.7) if keep]
+        coords.append(np.unique(np.concatenate([pts, ends, [vm / 2]])))
+    t = nature.lower_revenue_table(lsa, coords)
+    assert t.shape == tuple(len(c) for c in coords)
+    assert np.all(np.isfinite(t))
 
 
 class TestWorstCaseClassification:
@@ -563,7 +628,7 @@ ERROR_PATHS = {
     "means-outside-grid": (SizeError, "no feasible support",
                            lambda: nature.brute_force_min(
                                [[0.0, 0.4]] * 2, np.zeros(4), EX1_INSTANCE)),
-    "past-clipped-reserve": (DomainError, "reserve is clipped",
+    "past-clipped-reserve": (DomainError, "reaches past",
                              _table_past_a_clipped_reserve),
     "classify-n3": (DomainError, "two bidders",
                     lambda: nature.wcdistr2_classify([0.1] * 3, INST3)),

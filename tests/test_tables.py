@@ -3,10 +3,12 @@ type-dispatching ``threshold_tables`` with its separate LSA routine, and the
 per-node loops of ``grid_from_lsa``, ``grand_case_split`` and
 ``tilde_transform``.  Same tables, the same bits; ``tilde_transform``'s
 intercepts within one ulp of the largest term, because the old loop took
-``lam @ w`` as a dot product, which may fuse a multiply and an add.  The
+``lam @ w`` as a dot product, which may fuse a multiply and an add.  Each
+bidder's ``table(i, coords)`` is read against the same references.  The
 scalar ``threshold`` of a score auction and of affine thresholds, which now
-read one node of ``tables``, against the scalar rules they replaced: the
-same bits, and within two ulp of the terms' magnitude for the dot product."""
+read bidder i's ``table`` on the one-point grid, against the scalar rules
+they replaced: the same bits, and within two ulp of the terms' magnitude
+for the dot product."""
 
 import itertools
 
@@ -214,6 +216,8 @@ def test_tables_match_reference(mech):
         ref = reference_threshold_tables(mech, coords)
         assert_same_tables(mech.tables(coords), ref)
         assert_same_tables(nature.threshold_tables(mech, coords), ref)
+        assert_same_tables([mech.table(i, coords) for i in range(mech.n)],
+                           ref)
 
 
 @pytest.mark.parametrize("lsa", LSAS, ids=[f"lsa{m.n}-{k}"
@@ -243,6 +247,7 @@ def test_grid_tables_match_pointwise_interpolation(n):
                 mech.threshold(i, v) for v in nodes])
             assert np.array_equal(tables[i].ravel(), multilinear_batch(
                 mech.thresholds[i], [mech.coords[j] for j in rivals], nodes))
+            assert np.array_equal(mech.table(i, coords), tables[i])
 
 
 def sign_patterns(n):
@@ -356,3 +361,60 @@ def test_affine_threshold_within_two_ulp_of_dot_product():
                 mech, i, w)) <= 2 * np.spacing(np.abs(terms).sum())
             calls += 1
     assert calls > 2000
+
+
+def protocol_corpus():
+    """Score auctions (general, corner-hitting with excluded bidders) and
+    affine thresholds at n = 2 to 5, equal and unequal bounds."""
+    rng = np.random.default_rng(2012)
+    out = []
+    for n in (2, 3, 4, 5):
+        for vmax in ((1.0,) * n, tuple(rng.uniform(0.5, 2.0, n))):
+            r = rng.uniform(0.0, 1.0, n) * vmax
+            r[n - 1] = vmax[n - 1]                  # bidder n-1 excluded
+            out.append(ma.corner_hitting(r, vmax))
+            out.append(ma.LinearScoreAuction(
+                tuple(rng.uniform(0.0, 0.6, n) * vmax),
+                tuple(rng.uniform(0.3, 3.0, n)), vmax,
+                tuple(bool(e) for e in rng.random(n) < 0.3)))
+            out.append(AffineThresholds(rng.uniform(-0.5, 0.5, n),
+                                        rng.uniform(0.0, 1.5, n), vmax))
+    return out
+
+
+PROTOCOL_CORPUS = protocol_corpus()
+
+
+def test_protocol_corpus_covers_its_cases():
+    lsas = [m for m in PROTOCOL_CORPUS if isinstance(m, ma.LinearScoreAuction)]
+    assert {m.n for m in PROTOCOL_CORPUS} == {2, 3, 4, 5}
+    assert {m.n for m in lsas if any(m.excluded)} == {2, 3, 4, 5}
+    assert any(len(set(m.vmax)) > 1 for m in lsas)
+
+
+@pytest.mark.parametrize("cls", [ma.LinearScoreAuction, AffineThresholds])
+def test_threshold_reads_one_table_for_its_bidder(cls, monkeypatch):
+    """``threshold(i, v_others)`` calls ``table`` once, for bidder i, on the
+    one-point grid at v_others, and returns that table's one entry."""
+    calls, table = [], cls.table
+
+    def spy(self, i, coords):
+        out = table(self, i, coords)
+        calls.append((self, i, [list(c) for c in coords], out))
+        return out
+
+    monkeypatch.setattr(cls, "table", spy)
+    rng = np.random.default_rng(2013)
+    mechs = [m for m in PROTOCOL_CORPUS if isinstance(m, cls)]
+    assert {m.n for m in mechs} == {2, 3, 4, 5}
+    for mech in mechs:
+        for i in range(mech.n):
+            w = (rng.uniform(0.0, 1.0, mech.n) * mech.vmax).tolist()
+            del w[i]
+            calls.clear()
+            p = mech.threshold(i, w)
+            (who, bidder, coords, out), = calls
+            assert who is mech and bidder == i
+            assert coords == [[x] for x in w[:i]] + [[0.0]] + [
+                [x] for x in w[i:]]
+            assert out.shape == (1,) * (mech.n - 1) and p == out.item()
