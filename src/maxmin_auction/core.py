@@ -61,6 +61,14 @@ class Instance:
             raise DomainError("operation requires equal upper bounds")
         return self.vmax[0]
 
+    def ordered_bounds(self) -> tuple[float, float]:
+        """(vmax_1, vmax_2); ``DomainError`` unless there are two bidders
+        and bidder 1 carries the larger bound (to ``COMP_TOL``)."""
+        if self.n != 2 or self.vmax[0] < self.vmax[1] - COMP_TOL:
+            raise DomainError("unequal-bound forms are for two bidders, "
+                              "bidder 1 carrying the larger bound")
+        return self.vmax
+
 
 def drop(values: Sequence[float], i: int) -> np.ndarray:
     """Values of all bidders except i, in increasing index order."""
@@ -71,8 +79,9 @@ def drop(values: Sequence[float], i: int) -> np.ndarray:
 class ThresholdRule:
     """A mechanism that writes its threshold rule once, as ``table(i,
     coords)``: p_i on the product of bidder i's rival coordinate lists.
-    ``GridMechanism`` keeps a scalar ``threshold`` of its own, with the
-    same bits, because the one-point table costs more there."""
+    ``GridMechanism`` keeps a scalar ``threshold`` of its own, as the
+    one-point table costs more there: the table's bits at n >= 3; at n = 2,
+    where the table is ``np.interp``, within 1e-14 of it (tens of ulp)."""
 
     def tables(self, coords) -> list[np.ndarray]:
         """p_i on the product of bidder i's rival coordinate lists, each i."""
@@ -81,11 +90,18 @@ class ThresholdRule:
     def threshold(self, i: int, v_others: Sequence[float]) -> float:
         """p_i at one rival profile: bidder i's table on the one-point grid
         at ``v_others`` (her own point is never read)."""
-        if len(v_others) != self.n - 1:
-            raise DomainError(f"need {self.n - 1} rival values")
-        coords = [[x] for x in v_others]
+        coords = [[x] for x in self._rivals(v_others)]
         coords.insert(i, [0.0])
         return self.table(i, coords).item()
+
+    def _rivals(self, v_others) -> list[float]:
+        """The n - 1 rival values as finite floats, else ``DomainError``."""
+        if len(v_others) != self.n - 1:
+            raise DomainError(f"need {self.n - 1} rival values")
+        v = [float(x) for x in v_others]
+        if not all(map(math.isfinite, v)):
+            raise DomainError(f"rival values must be finite, got {v}")
+        return v
 
 
 @dataclass(frozen=True)
@@ -191,27 +207,17 @@ def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
     """Auction whose included bidders all have maximal score one.
 
     Bidder i gets slope 1/(vmax_i - r_i) and intercept r_i/(vmax_i - r_i);
-    a bidder with r_i == vmax_i is excluded outright.
+    a bidder with r_i within ``COMP_TOL`` of vmax_i is excluded outright
+    (width 1: alpha_i = r_i, beta_i = 1).  ``vmax`` may be one bound for all.
     """
-    r = np.asarray(r, dtype=float)
-    vm = np.asarray(vmax, dtype=float)
-    if vm.ndim and vm.shape != r.shape:
-        raise DomainError(f"{r.size} reserves for {vm.size} value bounds")
-    vm = np.broadcast_to(vm, r.shape)
-    alphas, betas, excluded = [], [], []
-    for ri, vi in zip(r, vm):
-        if not (0.0 <= ri <= vi):
-            raise DomainError(f"reserve {ri} outside [0, {vi}]")
-        if vi - ri <= COMP_TOL:
-            alphas.append(float(ri))
-            betas.append(1.0)
-            excluded.append(True)
-        else:
-            alphas.append(float(ri / (vi - ri)))
-            betas.append(float(1.0 / (vi - ri)))
-            excluded.append(False)
-    return LinearScoreAuction(tuple(alphas), tuple(betas),
-                              tuple(float(v) for v in vm), tuple(excluded))
+    vm = np.asarray(vmax, dtype=float).tolist()
+    if not isinstance(vm, list):
+        vm = [vm] * _floats(r, "reserves").size
+    r = check_reserves(r, vm)
+    excluded = tuple(vi - ri <= COMP_TOL for ri, vi in zip(r, vm))
+    widths = [1.0 if out else vi - ri for ri, vi, out in zip(r, vm, excluded)]
+    return LinearScoreAuction(tuple(ri / w for ri, w in zip(r, widths)),
+                              tuple(1.0 / w for w in widths), tuple(vm), excluded)
 
 
 @dataclass(frozen=True)
@@ -228,22 +234,23 @@ class GridMechanism(ThresholdRule):
     thresholds: tuple[np.ndarray, ...]
 
     def __init__(self, coords, thresholds):
-        coords = tuple(np.asarray(c, dtype=float) for c in coords)
+        coords, _ = check_grid(coords, [math.inf] * len(coords))
         n = len(coords)
+        if len(thresholds) != n:
+            raise DomainError("one threshold table per bidder required")
         tables = []
         for i, (c, t) in enumerate(zip(coords, thresholds)):
-            if len(c) < 2 or not (abs(c[0]) <= COMP_TOL and np.isfinite(c[-1])
-                                  and np.all(np.diff(c) > 0)):
-                raise DomainError("coordinates must increase strictly from 0 "
-                                  "to a finite bound")
+            if not (abs(c[0]) <= COMP_TOL and math.isfinite(c[-1])):
+                raise DomainError("grid axes must run from 0 to a finite bound")
             shape = tuple(len(coords[j]) for j in range(n) if j != i)
-            t = np.asarray(t, dtype=float).reshape(shape)
+            t = _floats(t, "thresholds")
+            if t.size != math.prod(shape):
+                raise DomainError(f"threshold table {i} does not match the grid")
+            t = t.reshape(shape)
             if not np.all((t >= -COMP_TOL) & (t <= c[-1] + COMP_TOL)):
                 raise DomainError("thresholds must be finite and lie in [0, vmax]")
             tables.append(t)
-        if len(thresholds) != n:
-            raise DomainError("one threshold table per bidder required")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "thresholds", tuple(tables))
 
     @property
@@ -255,11 +262,10 @@ class GridMechanism(ThresholdRule):
         return tuple(float(c[-1]) for c in self.coords)
 
     def threshold(self, i: int, v_others: Sequence[float]) -> float:
-        """p_i at rival values ``v_others`` by multilinear interpolation."""
-        if len(v_others) != self.n - 1:
-            raise DomainError(f"need {self.n - 1} rival values")
+        """p_i at rival values ``v_others`` (clamped to the box) by
+        multilinear interpolation."""
         axes = self.coords[:i] + self.coords[i + 1:]
-        cells = [locate(c, float(x)) for c, x in zip(axes, v_others)]
+        cells = [locate(c, x) for c, x in zip(axes, self._rivals(v_others))]
         return multilinear(self.thresholds[i].ravel(), self.thresholds[i].shape, cells)
 
     def allocate(self, v: Sequence[float]) -> Optional[int]:
@@ -355,9 +361,9 @@ def revenue(mech: Mechanism, v: Sequence[float]) -> float:
 
 def check_feasible(mech: Mechanism) -> None:
     """Raise ``FeasibilityError`` at the first node of a grid mechanism's own
-    grid with two strict winners (between nodes they can remain); a score
-    auction is feasible as built."""
-    if isinstance(mech, LinearScoreAuction):
+    grid with two strict winners (between nodes they can remain); other
+    types pass (a score auction is feasible as built)."""
+    if not isinstance(mech, GridMechanism):
         return
     grids = np.meshgrid(*mech.coords, indexing="ij", sparse=True)
     wins = sum(g > np.expand_dims(t, axis=i) + COMP_TOL
@@ -370,11 +376,11 @@ def check_feasible(mech: Mechanism) -> None:
 
 def check_grid(coords, vmax, t=None):
     """The axes as float arrays, and the table t (when given) as a float
-    array shaped like their product grid.  Raises ``DomainError`` unless
-    there is one axis per bound in vmax, each of at least two strictly
+    array shaped like their product grid.  Raises ``DomainError`` unless all
+    are numbers, with one axis per bound in vmax, each of at least two strictly
     increasing coordinates within [0, vmax_i] (to ``COMP_TOL``), and t has
     one entry per node."""
-    coords = [np.asarray(c, dtype=float) for c in coords]
+    coords = [_floats(c, "grid axes") for c in coords]
     if len(coords) != len(vmax):
         raise DomainError(f"need one grid axis per bidder ({len(vmax)}), "
                           f"got {len(coords)}")
@@ -387,11 +393,34 @@ def check_grid(coords, vmax, t=None):
                               f"the bounds [0, {vm}]")
     if t is not None:
         shape = tuple(c.shape[0] for c in coords)
-        t = np.asarray(t, dtype=float)
+        t = _floats(t, "revenue tables")
         if t.size != math.prod(shape):
             raise DomainError("revenue table does not match the grid")
         t = t.reshape(shape)
     return coords, t
+
+
+def check_reserves(r, vmax) -> list[float]:
+    """The reserves as Python floats.  Raises ``DomainError`` unless r is a
+    list of numbers with one entry per bound in vmax and each r_i lies in
+    [0, vmax_i + ``COMP_TOL``] (NaN fails)."""
+    r = _floats(r, "reserves")
+    if r.ndim != 1 or r.shape[0] != len(vmax):
+        raise DomainError(f"{r.size} reserves for {len(vmax)} value bounds, "
+                          f"in shape {r.shape}")
+    r = r.tolist()
+    for x, vm in zip(r, vmax):
+        if not 0.0 <= x <= vm + COMP_TOL:
+            raise DomainError(f"reserve {x} outside [0, {vm}]")
+    return r
+
+
+def _floats(x, what: str) -> np.ndarray:
+    """x as a float array; ``DomainError`` when it does not convert."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be numbers") from None
 
 
 def grid_from_lsa(lsa: LinearScoreAuction, coords) -> GridMechanism:
@@ -403,7 +432,7 @@ def grid_from_lsa(lsa: LinearScoreAuction, coords) -> GridMechanism:
 def check_multipliers(lam, n: int, nonnegative: bool = False) -> np.ndarray:
     """lam as a float array; ``DomainError`` unless it holds n finite
     values, and nonnegative ones when ``nonnegative`` is set."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _floats(lam, "multipliers")
     if lam.shape != (n,) or not np.isfinite(lam).all() or (
             nonnegative and lam.min() < 0.0):
         kind = "finite nonnegative" if nonnegative else "finite"

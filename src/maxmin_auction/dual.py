@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, check_multipliers
+from .core import Instance, check_multipliers, check_reserves
 from .errors import DomainError
 from .simplex import solve_lp  # noqa: F401  unused here; perfbench wraps dual.solve_lp
 
@@ -31,23 +31,6 @@ def _lagrangian(r, lam, instance: Instance, wall_terms: list[float]) -> float:
     return float(lam @ instance.mean_vector + min(terms))
 
 
-def _checked(r, lam, instance: Instance, upper):
-    """Reserves as a list of n floats, multipliers as a float array (n,);
-    ``DomainError`` unless every 0 <= r_i <= upper[i] (a bound plus its
-    tolerance) and 0 <= lam < inf.  Every comparison with NaN is false."""
-    shape = (instance.n,)
-    r = np.asarray(r, dtype=float)
-    if r.shape != shape:
-        raise DomainError(f"reserves must have shape {shape}, got {r.shape}")
-    r = r.tolist()
-    for x, u in zip(r, upper):
-        if not 0.0 <= x <= u:
-            raise DomainError("reserves outside the box")
-    if lam is not None:
-        lam = check_multipliers(lam, instance.n, nonnegative=True)
-    return r, lam
-
-
 def _lsa_lagrangian(r, lam, instance: Instance) -> float:
     """``lsa_lagrangian`` on input that passed its checks, bounds equal."""
     wall = [instance.vmax[0] * (1.0 - float(lam.sum()))]
@@ -56,8 +39,9 @@ def _lsa_lagrangian(r, lam, instance: Instance) -> float:
 
 def lsa_lagrangian(r, lam, instance: Instance) -> float:
     """Lower bound lam @ m + inf(t - lam @ v) for the reserve auction, exactly."""
-    vmax = instance.common_vmax()
-    r, lam = _checked(r, lam, instance, [vmax + 1e-12] * instance.n)
+    instance.common_vmax()                 # equal bounds only
+    r = check_reserves(r, instance.vmax)
+    lam = check_multipliers(lam, instance.n, nonnegative=True)
     return _lsa_lagrangian(r, lam, instance)
 
 
@@ -97,7 +81,7 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
     The argmax lam is x_j / (vmax - r_j) from the fill at the best s.
     """
     vmax = instance.common_vmax()
-    r, _ = _checked(r, None, instance, [vmax + 1e-12] * instance.n)
+    r = check_reserves(r, instance.vmax)
     q = [(m - rj) / (vmax - rj) if rj < vmax else 0.0
          for m, rj in zip(instance.means, r)]
     order = sorted((j for j, qj in enumerate(q) if qj > 0.0),
@@ -130,16 +114,12 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
     return best, np.array(lam)
 
 
-def _asym_checks(r, v1_tilde, lam, instance: Instance):
-    if instance.n != 2:
-        raise DomainError("asymmetric-bound form is for two bidders")
-    v1, v2 = instance.vmax
-    if v1 < v2 - 1e-12:
-        raise DomainError("bidder 1 must carry the larger bound")
-    r, lam = _checked(r, lam, instance, [v1 + 1e-12, v2 + 1e-12])
+def _asym_checks(r, v1_tilde, instance: Instance):
+    v1, v2 = instance.ordered_bounds()
+    r = check_reserves(r, instance.vmax)
     if not (0.0 <= v1_tilde <= v1 + 1e-12):
         raise DomainError("sure-win value outside bidder 1's range")
-    return r, lam, float(v1), float(v2)
+    return r, v1, v2
 
 
 def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
@@ -147,7 +127,8 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
     ``v1_tilde`` is the lowest report at which bidder 1 wins outright.
     """
-    r, lam, _, _ = _asym_checks(r, v1_tilde, lam, instance)
+    r, _, _ = _asym_checks(r, v1_tilde, instance)
+    lam = check_multipliers(lam, 2, nonnegative=True)
     return _asym_lagrangian(r, v1_tilde, lam, instance)
 
 
@@ -175,7 +156,7 @@ def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndar
     rule; crossings with lam >= -1e-12 are clipped at 0 and scored, and the
     best is returned with its value in ``lsa2_asym_lagrangian``.
     """
-    r, _, v1, v2 = _asym_checks(r, v1_tilde, None, instance)
+    r, v1, v2 = _asym_checks(r, v1_tilde, instance)
     A = np.array([[v1, v2], [v1_tilde, v2], [v1, r[1]], [r[0], v2], r])
     c = np.array([v1_tilde, v2, r[0], r[1], 0.0])
     g = instance.mean_vector - A

@@ -92,6 +92,9 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     and raises ``SizeError`` when the uniform grid alone would have more
     than ``MAX_STEP_NODES`` nodes.
     """
+    if not isinstance(mech, (LinearScoreAuction, GridMechanism)):
+        raise DomainError(f"Nature's grid takes a score auction or a grid "
+                          f"mechanism, got {type(mech).__name__}")
     n, vmax = mech.n, mech.vmax
     if step is not None:
         step = float(step)
@@ -280,34 +283,27 @@ def _newton_in_cell(coords, tables, ks, x, solve, tol: float):
     return x
 
 
-def _crossing_2d(c1, c2, t1, t2, j: int, k: int):
-    """Where v1 = p1(v2) meets v2 = p2(v1), both taken linear on their cells
-    (v1 in cell j of c1, v2 in cell k of c2); None when they are parallel."""
-    y0, y1 = c2[k], c2[k + 1]
-    B = (t1[k + 1] - t1[k]) / (y1 - y0)
-    A = t1[k] - B * y0                                # v1 = A + B v2
-    x0, x1 = c1[j], c1[j + 1]
-    D = (t2[j + 1] - t2[j]) / (x1 - x0)
-    C = t2[j] - D * x0                                # v2 = C + D v1
-    denom = 1.0 - B * D
-    if abs(denom) < 1e-12:
-        return None
-    x = (A + B * C) / denom
-    return x, C + D * x
-
-
 def _threshold_crossings_2d(mech: GridMechanism) -> list[tuple[float, float]]:
-    """Intersections of v1 = p1(v2) with v2 = p2(v1), cell by cell."""
+    """Intersections of v1 = p1(v2) with v2 = p2(v1), cell by cell: each
+    cell's line (lo, hi, a, b), the threshold a + b x on [lo, hi], is built
+    once; each row line v1 = A + B v2 meets each column line v2 = C + D v1."""
     c1, c2 = (c.tolist() for c in mech.coords)
     t1, t2 = (t.tolist() for t in mech.thresholds)  # p1 over c2, p2 over c1
-    out = []
-    eps = 1e-12
-    for k in range(len(c2) - 1):
-        for j in range(len(c1) - 1):
-            point = _crossing_2d(c1, c2, t1, t2, j, k)
-            if point is not None and c1[j] - eps <= point[0] <= c1[j + 1] + eps \
-                    and c2[k] - eps <= point[1] <= c2[k + 1] + eps:
-                out.append(point)
+    lines = []
+    for c, t in ((c2, t1), (c1, t2)):
+        slopes = [(t[k + 1] - t[k]) / (c[k + 1] - c[k]) for k in range(len(c) - 1)]
+        lines.append([(c[k], c[k + 1], t[k] - b * c[k], b)
+                      for k, b in enumerate(slopes)])
+    rows, columns = lines
+    out, eps = [], 1e-12
+    for y0, y1, A, B in rows:
+        for x0, x1, C, D in columns:
+            denom = 1.0 - B * D
+            if abs(denom) >= 1e-12:
+                x = (A + B * C) / denom
+                y = C + D * x
+                if x0 - eps <= x <= x1 + eps and y0 - eps <= y <= y1 + eps:
+                    out.append((x, y))
     return out
 
 

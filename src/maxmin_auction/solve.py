@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from .core import Instance
-from .errors import DomainError
 
 
 class Regime(enum.Enum):
@@ -143,10 +142,8 @@ def symmetric_reserve_set(m: float, vmax: float, n: int) -> tuple[float, float]:
     :func:`regime`; dividing by 1 - sqrt(1 - m / vmax) instead fails for
     tiny m, where it rounds to 0.
     """
-    if not (0.0 < m < vmax < math.inf):
-        raise DomainError("need 0 < m < vmax < inf")
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"need an integer number of bidders >= 2, got {n}")
+    inst = Instance(n, float(m), float(vmax))
+    n, m, vmax = inst.n, inst.means[0], inst.vmax[0]
     if n * (1.0 - math.sqrt(1.0 - m / vmax)) < 1.0:
         point = vmax - math.sqrt(vmax * (vmax - m))
         return (point, point)
@@ -199,11 +196,7 @@ def _bisect_gamma(instance: Instance) -> float:
 
 def asymmetric2_solve(instance: Instance) -> Asym2Solution:
     """Optimal slope and reserves for two bidders with vmax1 >= vmax2."""
-    if instance.n != 2:
-        raise DomainError("asymmetric-bound solution is for two bidders")
-    v1, v2 = instance.vmax
-    if v1 < v2 - 1e-12:
-        raise DomainError("bidder 1 must carry the larger bound")
+    v1, v2 = instance.ordered_bounds()
     m1, m2 = instance.means
     low = math.sqrt(1.0 - m1 / v1) + math.sqrt(1.0 - m2 / v2) > 1.0
 

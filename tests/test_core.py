@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import maxmin_auction as ma
 from maxmin_auction import DomainError, FeasibilityError, nature
 from maxmin_auction.core import drop
+from maxmin_auction.improve import AffineThresholds
 
 
 def lsa_04():
@@ -55,6 +56,36 @@ class TestInstance:
 ], ids=["means-length", "lsa-lengths", "negative-alpha", "one-table",
         "one-axis"])
 def test_malformed_types_raise(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+INST_2 = ma.Instance(2, [0.6, 0.6], 1.0)
+AFFINE_2 = AffineThresholds(np.array([0.2, 0.2]), np.array([0.5, 0.5]),
+                            (1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ma.GridMechanism([[[0, 1], [0, 1]], [0, 1]], [[1, 1], [1, 1]]),
+     "each axis"),
+    (lambda: ma.GridMechanism([[0, 1], [0, 0.5, 1]], [[1, 1], [1, 1, 1, 1]]),
+     "threshold table 0 does not match"),
+    (lambda: ma.GridMechanism([1, 1], [[1, 1], [1, 1]]), "each axis"),
+    (lambda: ma.GridMechanism([["a", 1], [0, 1]], [[1, 1], [1, 1]]),
+     "grid axes must be numbers"),
+    (lambda: ma.corner_hitting([[0.1, 0.2]], 1.0), "2 reserves for 2 value"),
+    (lambda: ma.corner_hitting(["a", 0.2], 1.0), "reserves must be numbers"),
+    (lambda: ma.lsa_guarantee(["a", 0.2], INST_2), "reserves must be numbers"),
+    (lambda: ma.GridMechanism([[0, 1], [0, 1]], [[1, 1], [1, 1]]).threshold(
+        0, [np.nan]), "rival values must be finite"),
+    (lambda: ma.mechanism_guarantee(AFFINE_2, INST_2), "got AffineThresholds"),
+    (lambda: ma.dominating_lsa(AFFINE_2, INST_2), "got AffineThresholds"),
+], ids=["nested-axis", "table-size", "scalar-axes", "string-axis",
+        "nested-reserves", "string-reserves", "string-reserves-guarantee",
+        "nan-rival", "affine-guarantee", "affine-dominating"])
+def test_bad_input_the_shared_checks_catch(call, match):
+    """Each once escaped as a numpy ``ValueError`` or ``TypeError``, an
+    ``AttributeError``, or (the NaN rival) a NaN threshold."""
     with pytest.raises(DomainError, match=match):
         call()
 
@@ -111,6 +142,20 @@ class TestCornerHitting:
     def test_out_of_box_raises(self):
         with pytest.raises(DomainError):
             ma.corner_hitting([1.2, 0.3], [1.0, 1.0])
+
+    def test_one_reserve_tolerance_with_lsa_guarantee(self):
+        """A reserve within 1e-12 above its bound is one at the bound (the
+        bidder is excluded) for ``corner_hitting`` as for ``lsa_guarantee``;
+        past that tolerance both raise."""
+        lsa = ma.corner_hitting([1 + 5e-13, 0.3], 1.0)
+        assert lsa.excluded == (True, False) and lsa.reserve(0) == 1.0
+        assert lsa.betas[1] == 1 / 0.7
+        assert ma.lsa_guarantee([1 + 5e-13, 0.3], INST_2)[0] == \
+            ma.lsa_guarantee([1.0, 0.3], INST_2)[0]
+        with pytest.raises(DomainError, match="outside"):
+            ma.corner_hitting([1 + 2e-12, 0.3], 1.0)
+        with pytest.raises(DomainError, match="outside"):
+            ma.lsa_guarantee([1 + 2e-12, 0.3], INST_2)
 
     @pytest.mark.parametrize("r, vmax", [([0.3], [1.0, 1.0]),
                                          ([0.3, 0.3], [1.0, 1.0, 1.0])])

@@ -234,6 +234,50 @@ def test_two_bidder_value_matches_the_corner_map_grid():
         assert value == pytest.approx(ref, abs=1e-9)
 
 
+def reference_crossings_2d(mech):
+    """The cell-pair loop the two-bidder crossings replaced: both cells'
+    lines are rebuilt for every pair of cells."""
+    c1, c2 = (c.tolist() for c in mech.coords)
+    t1, t2 = (t.tolist() for t in mech.thresholds)
+    out, eps = [], 1e-12
+    for k in range(len(c2) - 1):
+        for j in range(len(c1) - 1):
+            y0, y1, x0, x1 = c2[k], c2[k + 1], c1[j], c1[j + 1]
+            B = (t1[k + 1] - t1[k]) / (y1 - y0)
+            A = t1[k] - B * y0
+            D = (t2[j + 1] - t2[j]) / (x1 - x0)
+            C = t2[j] - D * x0
+            denom = 1.0 - B * D
+            if abs(denom) < 1e-12:
+                continue
+            x = (A + B * C) / denom
+            point = x, C + D * x
+            if x0 - eps <= point[0] <= x1 + eps and \
+                    y0 - eps <= point[1] <= y1 + eps:
+                out.append(point)
+    return out
+
+
+def test_two_bidder_crossings_match_the_cell_pair_loop():
+    """Each cell's line is built once; every crossing keeps its bits, on
+    random feasible mechanisms, the same with rounded tables, and curves
+    that run parallel (v1 = v2 twice) or step across a 1e-10 cell."""
+    rng = np.random.default_rng(2031)
+    mechs = [mech for _, mech in TWO_BIDDER]
+    for _ in range(400):
+        mech = random_feasible_mechanism(rng, 2)
+        mechs += [mech, ma.GridMechanism(mech.coords, [
+            np.round(t, 2) for t in mech.thresholds])]
+    c = [[0, 0.2, 0.8, 1], [0, 0.5, 0.5 + 1e-10, 1]]
+    mechs += [ma.GridMechanism([[0, 1], [0, 1]], [[0, 1], [0, 1]]),
+              ma.GridMechanism(c, c)]
+    assert not nature._threshold_crossings_2d(mechs[-2])      # parallel
+    assert sum(len(reference_crossings_2d(m)) for m in mechs) > 1000
+    for mech in mechs:
+        assert nature._threshold_crossings_2d(mech) == \
+            reference_crossings_2d(mech)
+
+
 def test_two_bidder_grids_skip_the_corner_map(monkeypatch):
     def unreachable(mech):
         raise AssertionError("corner map reached")

@@ -20,6 +20,7 @@ from generators import (excluded_lsa, multilinear_batch,
                         random_excluded_mechanism, random_score_auction,
                         tabulated_auction)
 from maxmin_auction import nature
+from maxmin_auction.core import ThresholdRule
 from maxmin_auction.improve import AffineThresholds
 
 
@@ -248,6 +249,25 @@ def test_grid_tables_match_pointwise_interpolation(n):
             assert np.array_equal(tables[i].ravel(), multilinear_batch(
                 mech.thresholds[i], [mech.coords[j] for j in rivals], nodes))
             assert np.array_equal(mech.table(i, coords), tables[i])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_scalar_threshold_against_the_one_point_table(n):
+    """``GridMechanism.threshold`` keeps its scalar route.  At n >= 3 it has
+    the bits of bidder i's table on the one-point grid, the route the other
+    mechanisms take; at n = 2 that table is ``np.interp``, within 1e-14."""
+    rng = np.random.default_rng(2020 + n)
+    for mech in [random_score_auction(rng, n) for _ in range(3)] + [
+            tabulated_auction(rng, n)]:
+        for _ in range(300):
+            i = int(rng.integers(n))
+            w = rng.uniform(-0.2, 1.2, n - 1).tolist()
+            scalar = mech.threshold(i, w)
+            table = ThresholdRule.threshold(mech, i, w)
+            if n == 2:
+                assert abs(scalar - table) <= 1e-14
+            else:
+                assert scalar == table
 
 
 def sign_patterns(n):
