@@ -18,9 +18,8 @@ from .errors import (BoundaryError, DomainError, FeasibilityError,
 from .improve import (AffineThresholds, dominating_lsa, grand_case_split,
                       lagrangian_on_grid, least_fixed_point, tilde_transform)
 from .nature import (DualCertificate, WorstCaseType, breakpoint_coords,
-                     brute_force_min, dual_value, lower_revenue_table,
-                     lsa2_dual_multipliers, lsa2_guarantee,
-                     mechanism_guarantee, wcdistr2_classify,
+                     dual_value, lower_revenue_table, lsa2_dual_multipliers,
+                     lsa2_guarantee, mechanism_guarantee, wcdistr2_classify,
                      wcdistr2_construct, worst_case_lp)
 from .optset import member
 from .solve import (Asym2Solution, OptimalSolution, Regime, ReserveSet,
@@ -36,7 +35,7 @@ __all__ = [
     "LinearScoreAuction", "NumericalError", "OptimalSolution", "Regime",
     "RegimeError", "ReserveSet", "SizeError", "UnboundedError",
     "WorstCaseType", "asymmetric2_solve", "breakpoint_coords",
-    "brute_force_min", "check_feasible", "corner_hitting",
+    "check_feasible", "corner_hitting",
     "dominating_lsa", "dual_value", "grand_case_split", "grid_from_lsa",
     "lagrangian_on_grid", "least_fixed_point", "lower_revenue_table",
     "lsa2_asym_guarantee", "lsa2_asym_lagrangian", "lsa2_dual_multipliers",

@@ -29,8 +29,8 @@ def _parse_instance(data) -> Instance:
         return Instance(operator.index(data["n"]), data["means"], data["vmax"])
     except KeyError as exc:
         raise DomainError(f"instance file missing key {exc}") from exc
-    except TypeError as exc:
-        raise DomainError(f"mistyped instance file: {exc}") from exc
+    except (TypeError, DomainError) as exc:
+        raise DomainError(f"invalid instance file: {exc}") from exc
 
 
 def _parse_mechanism(data, instance: Instance):
@@ -48,8 +48,8 @@ def _parse_mechanism(data, instance: Instance):
             return LinearScoreAuction(alphas, betas, instance.vmax, excluded)
         if kind == "grid":
             return GridMechanism(data["coords"], data["thresholds"])
-    except TypeError as exc:
-        raise DomainError(f"mistyped mechanism file: {exc}") from exc
+    except (TypeError, DomainError) as exc:
+        raise DomainError(f"invalid mechanism file: {exc}") from exc
     raise DomainError(f"unknown mechanism type {kind!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -20,9 +21,12 @@ from .errors import DomainError, FeasibilityError
 COMP_TOL = 1e-12
 
 
-def _as_tuple(x, n: int) -> tuple[float, ...]:
-    arr = np.broadcast_to(np.asarray(x, dtype=float), (n,))
-    return tuple(float(v) for v in arr)
+def _as_tuple(x, n: int, what: str) -> tuple[float, ...]:
+    """x as n floats, one number standing for all; ``DomainError`` else."""
+    arr = _floats(x, what)
+    if arr.ndim > 1 or arr.size not in (1, n):
+        raise DomainError("means and vmax must have length n (or be scalar)")
+    return tuple(float(v) for v in np.broadcast_to(arr, (n,)))
 
 
 @dataclass(frozen=True)
@@ -34,14 +38,14 @@ class Instance:
     vmax: tuple[float, ...]
 
     def __init__(self, n: int, means, vmax):
-        if not float(n).is_integer() or n < 2:
-            raise DomainError(f"need an integer number of bidders >= 2, got {n}")
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()
+                and n >= 2):
+            raise DomainError(f"need an integer number of bidders >= 2, "
+                              f"got {n!r}")
         n = int(n)
-        if np.asarray(means).size not in (1, n) or np.asarray(vmax).size not in (1, n):
-            raise DomainError("means and vmax must have length n (or be scalar)")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "means", _as_tuple(means, n))
-        object.__setattr__(self, "vmax", _as_tuple(vmax, n))
+        object.__setattr__(self, "means", _as_tuple(means, n, "means"))
+        object.__setattr__(self, "vmax", _as_tuple(vmax, n, "bounds"))
         for m, v in zip(self.means, self.vmax):
             if not (np.isfinite(m) and np.isfinite(v)):
                 raise DomainError("means and bounds must be finite")
@@ -84,7 +88,11 @@ class ThresholdRule:
     where the table is ``np.interp``, within 1e-14 of it (tens of ulp)."""
 
     def tables(self, coords) -> list[np.ndarray]:
-        """p_i on the product of bidder i's rival coordinate lists, each i."""
+        """p_i on the product of bidder i's rival coordinate lists, each i;
+        ``DomainError`` unless there is one list per bidder."""
+        if len(coords) != self.n:
+            raise DomainError(f"need one grid axis per bidder ({self.n}), "
+                              f"got {len(coords)}")
         return [self.table(i, coords) for i in range(self.n)]
 
     def threshold(self, i: int, v_others: Sequence[float]) -> float:
@@ -210,9 +218,11 @@ def corner_hitting(r: Sequence[float], vmax) -> LinearScoreAuction:
     a bidder with r_i within ``COMP_TOL`` of vmax_i is excluded outright
     (width 1: alpha_i = r_i, beta_i = 1).  ``vmax`` may be one bound for all.
     """
-    vm = np.asarray(vmax, dtype=float).tolist()
-    if not isinstance(vm, list):
-        vm = [vm] * _floats(r, "reserves").size
+    vm = _floats(vmax, "value bounds")
+    if vm.ndim > 1:
+        raise DomainError(f"value bounds must be one number or a list of "
+                          f"numbers, got shape {vm.shape}")
+    vm = vm.tolist() if vm.ndim else [vm.item()] * _floats(r, "reserves").size
     r = check_reserves(r, vm)
     excluded = tuple(vi - ri <= COMP_TOL for ri, vi in zip(r, vm))
     widths = [1.0 if out else vi - ri for ri, vi, out in zip(r, vm, excluded)]
@@ -234,6 +244,8 @@ class GridMechanism(ThresholdRule):
     thresholds: tuple[np.ndarray, ...]
 
     def __init__(self, coords, thresholds):
+        if not (np.iterable(coords) and np.iterable(thresholds)):
+            raise DomainError("grid axes and threshold tables must be lists")
         coords, _ = check_grid(coords, [math.inf] * len(coords))
         n = len(coords)
         if len(thresholds) != n:
@@ -252,6 +264,15 @@ class GridMechanism(ThresholdRule):
             tables.append(t)
         object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "thresholds", tuple(tables))
+
+    @classmethod
+    def _trusted(cls, coords, thresholds) -> GridMechanism:
+        """A grid mechanism on tables that a checked mechanism tabulated on
+        a checked grid starting at 0, kept as given with no check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "thresholds", tuple(thresholds))
+        return self
 
     @property
     def n(self) -> int:
@@ -355,7 +376,10 @@ def multilinear(flat: Sequence[float], shape: Sequence[int],
 
 
 def revenue(mech: Mechanism, v: Sequence[float]) -> float:
-    """Total transfer collected at profile v."""
+    """Total transfer collected at profile v; ``DomainError`` unless v
+    holds one value per bidder."""
+    if len(v) != mech.n:
+        raise DomainError(f"need {mech.n} values, got {len(v)}")
     return float(np.sum(mech.payment(v)))
 
 
@@ -457,8 +481,8 @@ class DiscreteDistribution:
     probs: np.ndarray   # (k,) nonnegative, summing to one
 
     def __init__(self, atoms, probs, vmax=None):
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        probs = np.asarray(probs, dtype=float)
+        atoms = np.atleast_2d(_floats(atoms, "atoms"))
+        probs = _floats(probs, "probabilities")
         if atoms.shape[0] != probs.shape[0]:
             raise DomainError("one probability per atom required")
         a, p = atoms.ravel().tolist(), probs.ravel().tolist()

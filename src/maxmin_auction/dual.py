@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, check_multipliers, check_reserves
+from .core import Instance, _floats, check_multipliers, check_reserves
 from .errors import DomainError
 from .simplex import solve_lp  # noqa: F401  unused here; perfbench wraps dual.solve_lp
 
@@ -115,11 +115,13 @@ def lsa_guarantee(r, instance: Instance) -> tuple[float, np.ndarray]:
 
 
 def _asym_checks(r, v1_tilde, instance: Instance):
+    """The reserves and the sure-win value as floats, and the two bounds."""
     v1, v2 = instance.ordered_bounds()
     r = check_reserves(r, instance.vmax)
-    if not (0.0 <= v1_tilde <= v1 + 1e-12):
+    v1_tilde = _floats(v1_tilde, "sure-win value")
+    if v1_tilde.ndim or not 0.0 <= v1_tilde <= v1 + 1e-12:
         raise DomainError("sure-win value outside bidder 1's range")
-    return r, v1, v2
+    return r, v1_tilde.item(), v1, v2
 
 
 def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
@@ -127,7 +129,7 @@ def lsa2_asym_lagrangian(r, v1_tilde, lam, instance: Instance) -> float:
 
     ``v1_tilde`` is the lowest report at which bidder 1 wins outright.
     """
-    r, _, _ = _asym_checks(r, v1_tilde, instance)
+    r, v1_tilde, _, _ = _asym_checks(r, v1_tilde, instance)
     lam = check_multipliers(lam, 2, nonnegative=True)
     return _asym_lagrangian(r, v1_tilde, lam, instance)
 
@@ -156,7 +158,7 @@ def lsa2_asym_guarantee(r, v1_tilde, instance: Instance) -> tuple[float, np.ndar
     rule; crossings with lam >= -1e-12 are clipped at 0 and scored, and the
     best is returned with its value in ``lsa2_asym_lagrangian``.
     """
-    r, v1, v2 = _asym_checks(r, v1_tilde, instance)
+    r, v1_tilde, v1, v2 = _asym_checks(r, v1_tilde, instance)
     A = np.array([[v1, v2], [v1_tilde, v2], [v1, r[1]], [r[0], v2], r])
     c = np.array([v1_tilde, v2, r[0], r[1], 0.0])
     g = instance.mean_vector - A

@@ -70,7 +70,7 @@ def grand_case_split(mech: GridMechanism, lam) -> tuple[GridMechanism, np.ndarra
                     for j in range(mech.n) if j != i)
         tables.append(np.full(t.shape, mech.vmax[i]) if lam[i] <= 0.0
                       else np.broadcast_to(t[pin], t.shape).copy())
-    return GridMechanism(mech.coords, tables), np.maximum(lam, 0.0)
+    return GridMechanism._trusted(mech.coords, tables), np.maximum(lam, 0.0)
 
 
 def tilde_transform(mech: GridMechanism, lam) -> AffineThresholds:
@@ -156,10 +156,11 @@ class ImprovementAudit:
 def dominating_lsa(mech: Mechanism, instance: Instance
                    ) -> tuple[LinearScoreAuction, ImprovementAudit]:
     """A corner-hitting auction whose guarantee weakly beats ``mech``'s:
-    Nature prices ``mech`` itself; later steps read its tables on that grid."""
+    Nature prices ``mech`` itself, and later steps read the tables it
+    tabulated on that grid."""
     check_feasible(mech)
-    guarantee, _, cert, grid = nature.mechanism_guarantee(mech, instance)
-    mech = GridMechanism(grid, mech.tables(grid))
+    guarantee, _, cert, grid, tables = nature._price(mech, instance)
+    mech = GridMechanism._trusted(grid, tables)
     lam_raw = cert.lam
     split_mech, lam = grand_case_split(mech, lam_raw)
     pt = tilde_transform(split_mech, lam)

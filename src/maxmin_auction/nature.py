@@ -11,7 +11,6 @@ mechanisms.
 from __future__ import annotations
 
 import enum
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ import numpy as np
 from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, check_grid,
-                   check_multipliers, corner_hitting, grid_nodes)
+                   check_multipliers, corner_hitting)
+from .core import grid_nodes  # noqa: F401  unused here; tests read nature.grid_nodes
 from .dual import _lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
@@ -31,7 +31,6 @@ PROB_TOL = 1e-12
 MAX_STEP_NODES = 10_000_000   # largest grid a ``step`` may ask for
 MAP_MAX_ITER = 200            # steps of one corner-map start
 NEWTON_STEPS = 20             # Newton steps of one cell solve
-BRUTE_FORCE_GUARD = 10_000_000  # most supports brute_force_min enumerates
 
 logger = logging.getLogger(__name__)
 
@@ -378,6 +377,13 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     it; zero contributes wherever the no-sale region accumulates.
     """
     coords, _ = check_grid(coords, mech.vmax)
+    return _lower_envelope(mech, coords)[0]
+
+
+def _lower_envelope(mech, coords):
+    """``lower_revenue_table`` on checked axes, and the mechanism's tables
+    there with ``mech.tables(coords)``'s bits: the mechanism is tabulated
+    once, an LSA by its unclamped tables, which the envelope reads."""
     n = len(coords)
     shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
@@ -388,26 +394,26 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
         # A bidder is a winner candidate where her value reaches the raw
         # score threshold; a threshold clamped at her bound means she cannot
         # win there at all (this matters only under unequal bounds).
-        raw = [np.expand_dims(mech.unclamped_table(i, coords), axis=i)
-               for i in range(n)]
-        t = least_winning_threshold(value_grids, raw, tol)
+        raw = [mech.unclamped_table(i, coords) for i in range(n)]
+        spread = [np.expand_dims(p, axis=i) for i, p in enumerate(raw)]
+        t = least_winning_threshold(value_grids, spread, tol)
         # No-sale profiles accumulate exactly below the reserves.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
             no_sale = np.ones(shape, dtype=bool)
             for i in mech.included():
                 no_sale &= value_grids[i] <= mech.reserve(i) + tol
             t[no_sale] = np.minimum(t[no_sale], 0.0)
-        return t
+        return t, [np.clip(p, 0.0, mech.vmax[i]) for i, p in enumerate(raw)]
 
-    tables = [np.expand_dims(p, axis=i)
-              for i, p in enumerate(mech.tables(coords))]
-    t = least_winning_threshold(value_grids, tables, tol)
-    below = np.all([v <= p + tol for v, p in zip(value_grids, tables)],
+    tables = mech.tables(coords)
+    spread = [np.expand_dims(p, axis=i) for i, p in enumerate(tables)]
+    t = least_winning_threshold(value_grids, spread, tol)
+    below = np.all([v <= p + tol for v, p in zip(value_grids, spread)],
                    axis=0)                       # v_i <= p_i for all i
     if n == 2:
-        below &= _no_sale_limits_2d(mech, value_grids, tables, tol)
+        below &= _no_sale_limits_2d(mech, value_grids, spread, tol)
     t[below] = np.minimum(t[below], 0.0)
-    return t
+    return t, tables
 
 
 # ---------------------------------------------------------------------------
@@ -479,54 +485,20 @@ def _dual_values(grids, tables, instance: Instance, lam) -> list[float]:
             for t in tables]
 
 
-def brute_force_min(coords, t, instance: Instance) -> float:
-    """Enumerate all supports of n+1 grid nodes and keep feasible solutions.
-
-    Independent of the simplex path: each candidate support solves a square
-    linear system for its probabilities.
-    """
-    coords, t = check_grid(coords, instance.vmax, t)
-    nodes, tvals = grid_nodes(coords), t.ravel()
-    N, n = nodes.shape
-    k = n + 1
-    if math.comb(N, k) > BRUTE_FORCE_GUARD:
-        raise SizeError(f"{math.comb(N, k)} supports exceed the guard "
-                        f"{BRUTE_FORCE_GUARD}")
-
-    b = np.concatenate([[1.0], instance.mean_vector])
-    best = np.inf
-    combos = itertools.combinations(range(N), k)
-    chunk = 200_000
-    while True:
-        batch = list(itertools.islice(combos, chunk))
-        if not batch:
-            break
-        idx = np.asarray(batch)
-        S = np.concatenate([np.ones((len(batch), 1, k)),
-                            nodes[idx].transpose(0, 2, 1)], axis=1)
-        dets = np.abs(np.linalg.det(S))
-        ok = dets > 1e-12
-        if not np.any(ok):
-            continue
-        rhs = np.broadcast_to(b.reshape(1, k, 1), (int(ok.sum()), k, 1))
-        f = np.linalg.solve(S[ok], rhs)[:, :, 0]
-        feas = np.all(f >= -PROB_TOL, axis=1)
-        if not np.any(feas):
-            continue
-        vals = np.einsum("ij,ij->i", f[feas], tvals[idx[ok][feas]])
-        best = min(best, float(vals.min()))
-    if not np.isfinite(best):
-        raise SizeError("no feasible support found")
-    return best
-
-
 def mechanism_guarantee(mech, instance: Instance, step: float | None = None):
     """Breakpoint grid + lower-envelope tabulation + LP, in one call."""
+    return _price(mech, instance, step)[:4]
+
+
+def _price(mech, instance: Instance, step: float | None = None):
+    """``mechanism_guarantee``'s value, distribution, certificate and grid,
+    and the mechanism's tables on that grid (``mech.tables(grid)``'s bits),
+    which the envelope tabulated once."""
     check_compatible(mech, instance)
     coords = breakpoint_coords(mech, step=step)
-    t = lower_revenue_table(mech, coords)
+    t, tables = _lower_envelope(mech, coords)
     value, dist, cert = worst_case_lp(coords, t, instance)
-    return value, dist, cert, coords
+    return value, dist, cert, coords, tables
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +517,7 @@ def _check_wc_inputs(r, instance: Instance):
     if instance.n != 2:
         raise DomainError("closed-form worst cases are for two bidders")
     vmax = instance.common_vmax()
-    r = np.asarray(r, dtype=float)
+    r = core._floats(r, "reserves")
     if r.shape != (2,) or not all(map(math.isfinite, r.tolist())):
         raise DomainError(f"closed forms need two finite reserves, got "
                           f"{r.tolist()}")

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, _floats
 
 
 class Regime(enum.Enum):
@@ -120,7 +120,7 @@ def reserve_is_optimal(r, instance: Instance) -> bool:
     """Membership test for the set of optimal reserve vectors, to 1e-9."""
     tol = 1e-9
     vmax = instance.common_vmax()
-    r = np.asarray(r, dtype=float)
+    r = _floats(r, "reserves")
     if r.shape != (instance.n,) or np.any(r < -tol) or np.any(r > vmax + tol):
         return False
     sol = optimal_reserves(instance)

@@ -9,6 +9,7 @@ import contextlib
 import numpy as np
 
 import maxmin_auction as ma
+from brute_force_oracle import brute_force_min
 from envelope_oracle import envelope_violations
 from generators import (random_corner_lsa, random_feasible_mechanism,
                         random_instance, sample_near_miss,
@@ -102,7 +103,7 @@ def test_06_strong_duality_and_oracle():
             t = nature.lower_revenue_table(lsa, coords)
             value, dist, cert = nature.worst_case_lp(coords, t, inst)
             assert abs(value - cert.value) <= 1e-9
-            bf = nature.brute_force_min(coords, t, inst)
+            bf = brute_force_min(coords, t, inst)
             assert abs(value - bf) <= 1e-9
 
 

@@ -90,6 +90,49 @@ def test_bad_input_the_shared_checks_catch(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: ma.Instance("2", 0.5, 1), "integer number of bidders"),
+    (lambda: ma.Instance(2, ["a", 0.5], 1), "means must be numbers"),
+    (lambda: ma.Instance(2, [[0.5], [0.5]], 1), "length n"),
+    (lambda: ma.DiscreteDistribution([[0.5, 0.5], [0.5]], [0.5, 0.5]),
+     "atoms must be numbers"),
+    (lambda: ma.GridMechanism(5, []), "must be lists"),
+    (lambda: ma.corner_hitting([0.3, 0.3], [[1], [1]]), "value bounds"),
+    (lambda: ma.wcdistr2_construct(["a", 0.2], INST_2),
+     "reserves must be numbers"),
+    (lambda: ma.reserve_is_optimal(["a", 0.1], INST_2),
+     "reserves must be numbers"),
+    (lambda: ma.lsa2_asym_guarantee([0.1, 0.1], "a", INST_2),
+     "sure-win value must be numbers"),
+], ids=["string-n", "string-means", "nested-means", "ragged-atoms",
+        "scalar-grid", "nested-bounds", "string-wc-reserves",
+        "string-optimal-reserves", "string-sure-win"])
+def test_bad_input_that_escaped_as_python_errors(call, match):
+    """Each raised a ``TypeError`` or ``ValueError`` from Python or numpy
+    before its input went through ``core._floats``."""
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ma.corner_hitting([0.3, 0.4], 1.0).tables([[0, 1]]),
+     r"one grid axis per bidder \(2\), got 1"),
+    (lambda: ma.GridMechanism([[0, 1]] * 3, [[[0.5] * 2] * 2] * 3).tables(
+        [[0, 1]] * 2), r"one grid axis per bidder \(3\), got 2"),
+    (lambda: ma.revenue(ma.corner_hitting([0.3, 0.4], 1.0), [0.5]),
+     "need 2 values, got 1"),
+    (lambda: ma.revenue(ma.corner_hitting([0.3, 0.4], 1.0), [0.5] * 3),
+     "need 2 values, got 3"),
+], ids=["lsa-tables-one-axis", "grid-tables-two-axes", "revenue-short",
+        "revenue-long"])
+def test_profile_or_grid_of_the_wrong_length_raises(call, match):
+    """The tables came back on too few axes, and revenue raised
+    ``IndexError`` on a short profile and a rival-count error on a long
+    one."""
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 class TestScore:
     def test_zero_at_reserve(self):
         assert lsa_04().score(0, 0.4) == pytest.approx(0.0, abs=1e-15)

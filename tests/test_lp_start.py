@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
+from brute_force_oracle import brute_force_min
 from generators import random_feasible_mechanism, random_instance
 from maxmin_auction import dual, nature, simplex
 from maxmin_auction.errors import (DomainError, InfeasibleError,
@@ -301,7 +302,7 @@ class TestWorstCaseStart:
             inst = ma.Instance(2, means, 1.0)
             value, dist, cert = nature.worst_case_lp(coords, t, inst)
             assert value == pytest.approx(
-                nature.brute_force_min(coords, t, inst), abs=1e-12)
+                brute_force_min(coords, t, inst), abs=1e-12)
             assert value == pytest.approx(
                 tableau_solve_lp(t.ravel(),
                                  np.vstack([np.ones(12),
@@ -317,7 +318,7 @@ class TestWorstCaseStart:
         inst = ma.Instance(3, [0.5, 0.3, 0.4], 1.0)
         value, dist, _ = nature.worst_case_lp(coords, t, inst)
         assert value == pytest.approx(
-            nature.brute_force_min(coords, t, inst), abs=1e-12)
+            brute_force_min(coords, t, inst), abs=1e-12)
         assert dist.mean() == pytest.approx(inst.mean_vector, abs=1e-12)
 
     def test_means_below_box(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxmin_auction as ma
+from brute_force_oracle import brute_force_min
 from generators import (random_corner_lsa, random_feasible_mechanism,
                         random_instance)
 from maxmin_auction import nature
@@ -157,7 +158,7 @@ class TestBruteForce:
         coords = nature.breakpoint_coords(mech, step=0.25)
         t = nature.lower_revenue_table(mech, coords)
         lp, *_ = nature.worst_case_lp(coords, t, inst)
-        assert nature.brute_force_min(coords, t, inst) == pytest.approx(lp, abs=1e-9)
+        assert brute_force_min(coords, t, inst) == pytest.approx(lp, abs=1e-9)
         assert lp == pytest.approx(0.3, abs=1e-9)
 
     def test_point_mass_forced(self):
@@ -166,14 +167,14 @@ class TestBruteForce:
         coords = [np.array([0.0, 0.5, 1.0])] * 2
         t = np.arange(9.0).reshape(3, 3) + 1.0
         # force the point mass by shrinking the grid to the node and corners
-        bf = nature.brute_force_min(coords, t, inst)
+        bf = brute_force_min(coords, t, inst)
         lp, *_ = nature.worst_case_lp(coords, t, inst)
         assert bf == pytest.approx(lp, abs=1e-9)
 
     def test_example1(self):
         coords = [np.array([0.0, 0.2, 0.5, 1.0])] * 2
         t = nature.lower_revenue_table(example1_mechanism(), coords)
-        assert nature.brute_force_min(coords, t, EX1_INSTANCE) == pytest.approx(
+        assert brute_force_min(coords, t, EX1_INSTANCE) == pytest.approx(
             0.0375, abs=1e-9)
 
     def test_guard(self):
@@ -181,7 +182,7 @@ class TestBruteForce:
         coords = [np.linspace(0, 1, 40)] * 2
         # C(1600, 3) ~ 6.8e8 supports, past the 1e7 guard
         with pytest.raises(SizeError):
-            nature.brute_force_min(coords, np.zeros((40, 40)), inst)
+            brute_force_min(coords, np.zeros((40, 40)), inst)
 
 
 class TestGridStep:
@@ -370,7 +371,7 @@ class TestGridChecks:
 
     def test_brute_force_needs_one_axis_per_bidder(self):
         with pytest.raises(DomainError, match="axis per bidder"):
-            nature.brute_force_min([[0.0, 1.0]] * 2, np.zeros(4), self.INST3)
+            brute_force_min([[0.0, 1.0]] * 2, np.zeros(4), self.INST3)
 
     @pytest.mark.parametrize("axes", [1, 3])
     @pytest.mark.parametrize("tabulated", [False, True])
@@ -395,8 +396,8 @@ class TestGridChecks:
                                   ma.Instance(2, [0.6, 0.6], 1.0), [0.5, 0.5]),
         lambda: nature.worst_case_lp([[0, 1, 1.5], [0, 1]], np.zeros(6),
                                      ma.Instance(2, [0.6, 0.6], 1.0)),
-        lambda: nature.brute_force_min([[0, 1, 1.5], [0, 1]], np.zeros(6),
-                                       ma.Instance(2, [0.6, 0.6], 1.0)),
+        lambda: brute_force_min([[0, 1, 1.5], [0, 1]], np.zeros(6),
+                                ma.Instance(2, [0.6, 0.6], 1.0)),
     ], ids=["lower-revenue-table", "lagrangian-on-grid", "dual-value",
             "dual-value-below-zero", "worst-case-lp", "brute-force"])
     def test_axes_past_the_bounds_raise(self, call):
@@ -626,7 +627,7 @@ ERROR_PATHS = {
                                                   np.zeros(5), EX1_INSTANCE,
                                                   [0.5, 0.5])),
     "means-outside-grid": (SizeError, "no feasible support",
-                           lambda: nature.brute_force_min(
+                           lambda: brute_force_min(
                                [[0.0, 0.4]] * 2, np.zeros(4), EX1_INSTANCE)),
     "past-clipped-reserve": (DomainError, "reaches past",
                              _table_past_a_clipped_reserve),
