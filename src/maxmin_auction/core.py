@@ -313,11 +313,6 @@ class GridMechanism(ThresholdRule):
 Mechanism = Union[LinearScoreAuction, GridMechanism]
 
 
-def grid_nodes(coords) -> np.ndarray:
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
-
-
 def rival_axes(coords, i: int) -> list[tuple[int, np.ndarray]]:
     """Bidder i's rivals j, in increasing order, each with ``coords[j]``
     shaped to run along j's axis of the rival grid."""
@@ -404,6 +399,8 @@ def check_grid(coords, vmax, t=None):
     are numbers, with one axis per bound in vmax, each of at least two strictly
     increasing coordinates within [0, vmax_i] (to ``COMP_TOL``), and t has
     one entry per node."""
+    if not np.iterable(coords):
+        raise DomainError("grid axes must be a list")
     coords = [_floats(c, "grid axes") for c in coords]
     if len(coords) != len(vmax):
         raise DomainError(f"need one grid axis per bidder ({len(vmax)}), "
@@ -483,7 +480,7 @@ class DiscreteDistribution:
     def __init__(self, atoms, probs, vmax=None):
         atoms = np.atleast_2d(_floats(atoms, "atoms"))
         probs = _floats(probs, "probabilities")
-        if atoms.shape[0] != probs.shape[0]:
+        if probs.ndim != 1 or atoms.shape[0] != probs.shape[0]:
             raise DomainError("one probability per atom required")
         a, p = atoms.ravel().tolist(), probs.ravel().tolist()
         if not all(map(math.isfinite, a + p)):

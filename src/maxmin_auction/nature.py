@@ -21,7 +21,6 @@ from . import core
 from .core import (DiscreteDistribution, GridMechanism, Instance,
                    LinearScoreAuction, check_compatible, check_grid,
                    check_multipliers, corner_hitting)
-from .core import grid_nodes  # noqa: F401  unused here; tests read nature.grid_nodes
 from .dual import _lsa_lagrangian
 from .errors import (BoundaryError, DomainError, InfeasibleError, RegimeError,
                      SizeError)
@@ -91,6 +90,12 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     and raises ``SizeError`` when the uniform grid alone would have more
     than ``MAX_STEP_NODES`` nodes.
     """
+    return _breakpoint_grid(mech, step)[0]
+
+
+def _breakpoint_grid(mech, step: float | None):
+    """``breakpoint_coords`` and ``mech.tables`` on it: the closure's last
+    round when that round ran on exactly the returned axes, else None."""
     if not isinstance(mech, (LinearScoreAuction, GridMechanism)):
         raise DomainError(f"Nature's grid takes a score auction or a grid "
                           f"mechanism, got {type(mech).__name__}")
@@ -119,7 +124,7 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
     coords = [dedup_sorted([0.0, vmax[i], *seeds[i]], tol, snap=(0.0, vmax[i]))
               for i in range(n)]
     for _ in range(rounds):
-        grew = False
+        grew, tabulated = False, list(coords)
         induced = mech.tables(coords)        # before any axis grows this round
         for i in range(n):
             merged = dedup_sorted(np.concatenate(
@@ -135,7 +140,8 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
         coords = [dedup_sorted(np.concatenate(
             [c, np.arange(0.0, vmax[i], step)]), tol,
             snap=(0.0, vmax[i])) for i, c in enumerate(coords)]
-    return coords
+    same = all(map(np.array_equal, tabulated, coords))
+    return coords, induced if same else None
 
 
 def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
@@ -380,10 +386,11 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     return _lower_envelope(mech, coords)[0]
 
 
-def _lower_envelope(mech, coords):
+def _lower_envelope(mech, coords, tables=None):
     """``lower_revenue_table`` on checked axes, and the mechanism's tables
     there with ``mech.tables(coords)``'s bits: the mechanism is tabulated
-    once, an LSA by its unclamped tables, which the envelope reads."""
+    at most once, an LSA by its unclamped tables, which the envelope reads,
+    a grid mechanism only when its ``tables`` on coords are not given."""
     n = len(coords)
     shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
@@ -405,7 +412,8 @@ def _lower_envelope(mech, coords):
             t[no_sale] = np.minimum(t[no_sale], 0.0)
         return t, [np.clip(p, 0.0, mech.vmax[i]) for i, p in enumerate(raw)]
 
-    tables = mech.tables(coords)
+    if tables is None:
+        tables = mech.tables(coords)
     spread = [np.expand_dims(p, axis=i) for i, p in enumerate(tables)]
     t = least_winning_threshold(value_grids, spread, tol)
     below = np.all([v <= p + tol for v, p in zip(value_grids, spread)],
@@ -493,10 +501,11 @@ def mechanism_guarantee(mech, instance: Instance, step: float | None = None):
 def _price(mech, instance: Instance, step: float | None = None):
     """``mechanism_guarantee``'s value, distribution, certificate and grid,
     and the mechanism's tables on that grid (``mech.tables(grid)``'s bits),
-    which the envelope tabulated once."""
+    tabulated once: by the grid's last closure round when it ran on the
+    returned axes, else by the envelope."""
     check_compatible(mech, instance)
-    coords = breakpoint_coords(mech, step=step)
-    t, tables = _lower_envelope(mech, coords)
+    coords, tables = _breakpoint_grid(mech, step)
+    t, tables = _lower_envelope(mech, coords, tables)
     value, dist, cert = worst_case_lp(coords, t, instance)
     return value, dist, cert, coords, tables
 

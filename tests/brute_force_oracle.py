@@ -14,11 +14,17 @@ import math
 
 import numpy as np
 
-from maxmin_auction.core import Instance, check_grid, grid_nodes
+from maxmin_auction.core import Instance, check_grid
 from maxmin_auction.errors import SizeError
 
 PROB_TOL = 1e-12
 BRUTE_FORCE_GUARD = 10_000_000  # most supports brute_force_min enumerates
+
+
+def grid_nodes(coords) -> np.ndarray:
+    """Every node of the product grid, one row each, in C order."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def brute_force_min(coords, t, instance: Instance) -> float:

@@ -115,6 +115,22 @@ def test_bad_input_that_escaped_as_python_errors(call, match):
 
 
 @pytest.mark.parametrize("call, match", [
+    (lambda: nature.check_grid(5, [1.0, 1.0]), "grid axes must be a list"),
+    (lambda: ma.lower_revenue_table(lsa_04(), 5), "grid axes must be a list"),
+    (lambda: ma.worst_case_lp(5, [0.0], ma.Instance(2, [0.5, 0.5], 1.0)),
+     "grid axes must be a list"),
+    (lambda: ma.DiscreteDistribution([[0.5, 0.5]], 1.0),
+     "one probability per atom"),
+], ids=["scalar-grid-check", "scalar-grid-table", "scalar-grid-lp",
+        "scalar-probabilities"])
+def test_scalar_grid_or_probabilities_raise(call, match):
+    """A grid that is not a list raised ``TypeError`` ('int' object is not
+    iterable) and scalar probabilities an ``IndexError``."""
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
     (lambda: ma.corner_hitting([0.3, 0.4], 1.0).tables([[0, 1]]),
      r"one grid axis per bidder \(2\), got 1"),
     (lambda: ma.GridMechanism([[0, 1]] * 3, [[[0.5] * 2] * 2] * 3).tables(

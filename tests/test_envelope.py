@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
+from brute_force_oracle import grid_nodes
 from generators import (excluded_lsa, random_excluded_mechanism,
                         random_score_auction, tabulated_auction)
 from maxmin_auction import nature
-from maxmin_auction.core import grid_nodes
 from maxmin_auction.improve import AffineThresholds
 
 

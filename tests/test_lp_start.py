@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
-from brute_force_oracle import brute_force_min
+from brute_force_oracle import brute_force_min, grid_nodes
 from generators import random_feasible_mechanism, random_instance
 from maxmin_auction import dual, nature, simplex
 from maxmin_auction.errors import (DomainError, InfeasibleError,
@@ -306,7 +306,7 @@ class TestWorstCaseStart:
             assert value == pytest.approx(
                 tableau_solve_lp(t.ravel(),
                                  np.vstack([np.ones(12),
-                                            nature.grid_nodes(coords).T]),
+                                            grid_nodes(coords).T]),
                                  [1.0, *means]), abs=VALUE_TOL)
             assert dist.mean() == pytest.approx(means, abs=1e-12)
             assert cert.value == pytest.approx(value, abs=1e-12)

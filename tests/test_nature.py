@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxmin_auction as ma
-from brute_force_oracle import brute_force_min
+from brute_force_oracle import brute_force_min, grid_nodes
 from generators import (random_corner_lsa, random_feasible_mechanism,
                         random_instance)
 from maxmin_auction import nature
@@ -88,7 +88,7 @@ class TestWorstCaseLP:
             coords = nature.breakpoint_coords(lsa)
             t = nature.lower_revenue_table(lsa, coords)
             value, dist, cert = nature.worst_case_lp(coords, t, inst)
-            nodes = nature.grid_nodes(coords)
+            nodes = grid_nodes(coords)
             tv = t.ravel()
             for atom in dist.atoms:
                 idx = int(np.argmin(np.abs(nodes - atom).sum(axis=1)))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
+from brute_force_oracle import grid_nodes
 from generators import (excluded_lsa, multilinear_batch,
                         random_excluded_mechanism, random_score_auction,
                         tabulated_auction)
@@ -73,7 +74,7 @@ def reference_threshold_tables(mech, coords):
         rival = [j for j in range(n) if j != i]
         vals = multilinear_batch(
             mech.thresholds[i], [mech.coords[j] for j in rival],
-            nature.grid_nodes(axes))
+            grid_nodes(axes))
         tables.append(vals.reshape(shape))
     return tables
 
@@ -242,7 +243,7 @@ def test_grid_tables_match_pointwise_interpolation(n):
         tables = mech.tables(coords)
         for i in range(n):
             rivals = [j for j in range(n) if j != i]
-            nodes = nature.grid_nodes([coords[j] for j in rivals])
+            nodes = grid_nodes([coords[j] for j in rivals])
             assert tables[i].shape == tuple(len(coords[j]) for j in rivals)
             assert np.array_equal(tables[i].ravel(), [
                 mech.threshold(i, v) for v in nodes])
