@@ -398,7 +398,7 @@ def check_grid(coords, vmax, t=None):
     array shaped like their product grid.  Raises ``DomainError`` unless all
     are numbers, with one axis per bound in vmax, each of at least two strictly
     increasing coordinates within [0, vmax_i] (to ``COMP_TOL``), and t has
-    one entry per node."""
+    one entry per node, none NaN or ``-inf`` (``+inf`` is allowed)."""
     if not np.iterable(coords):
         raise DomainError("grid axes must be a list")
     coords = [_floats(c, "grid axes") for c in coords]
@@ -418,6 +418,8 @@ def check_grid(coords, vmax, t=None):
         if t.size != math.prod(shape):
             raise DomainError("revenue table does not match the grid")
         t = t.reshape(shape)
+        if not (t > -np.inf).all():
+            raise DomainError("revenue table holds NaN or -inf")
     return coords, t
 
 

@@ -135,8 +135,10 @@ def lagrangian_on_grid(families, lam, instance: Instance, coords) -> list[float]
     tables = [np.expand_dims(np.stack(p), axis=i + 1) for i, p in
               enumerate(zip(*(f.tables(coords) for f in families)))]
     t = nature.least_winning_threshold(grids, tables, tol)
-    no_sale = np.all([g < p for g, p in zip(grids, tables)], axis=0)
-    t[no_sale] = np.minimum(t[no_sale], 0.0)
+    no_sale = grids[0] < tables[0]
+    for g, p in zip(grids[1:], tables[1:]):
+        no_sale &= g < p
+    np.minimum(t, 0.0, out=t, where=no_sale)
     return nature._dual_values(grids, t, instance, lam)
 
 

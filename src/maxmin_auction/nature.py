@@ -320,11 +320,15 @@ def threshold_tables(mech, coords) -> list[np.ndarray]:
 
 def least_winning_threshold(values, thresholds, tol: float) -> np.ndarray:
     """Least threshold among the bidders whose value reaches it, ``inf``
-    where nobody's does; ``values[i]`` and ``thresholds[i]`` broadcast to
-    the grid (``+inf`` for a bidder who can never win)."""
-    t = np.inf
+    where nobody's does, as a new array of the shape all ``values`` and
+    ``thresholds`` broadcast to.  Any entry may have any shape that
+    broadcasts: a scalar ``+inf`` for a bidder who can never win, a table
+    missing the axes it does not vary along.  The table is allocated once
+    and each bidder is folded into it in place."""
+    t = np.full(np.broadcast_shapes(*map(np.shape, (*values, *thresholds))),
+                np.inf)
     for v, p in zip(values, thresholds):
-        t = np.minimum(t, np.where(v >= p - tol, p, np.inf))
+        np.minimum(t, p, out=t, where=v >= p - tol)
     return t
 
 
@@ -392,7 +396,6 @@ def _lower_envelope(mech, coords, tables=None):
     at most once, an LSA by its unclamped tables, which the envelope reads,
     a grid mechanism only when its ``tables`` on coords are not given."""
     n = len(coords)
-    shape = tuple(len(c) for c in coords)
     scale = max(1.0, max(float(c[-1]) for c in coords))
     tol = 1e-9 * scale
     value_grids = np.meshgrid(*coords, indexing="ij", sparse=True)
@@ -404,23 +407,27 @@ def _lower_envelope(mech, coords, tables=None):
         raw = [mech.unclamped_table(i, coords) for i in range(n)]
         spread = [np.expand_dims(p, axis=i) for i, p in enumerate(raw)]
         t = least_winning_threshold(value_grids, spread, tol)
-        # No-sale profiles accumulate exactly below the reserves.
+        # No-sale profiles accumulate exactly below the reserves: a box of
+        # axis prefixes, as every axis increases.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
-            no_sale = np.ones(shape, dtype=bool)
+            box = [slice(None)] * n
             for i in mech.included():
-                no_sale &= value_grids[i] <= mech.reserve(i) + tol
-            t[no_sale] = np.minimum(t[no_sale], 0.0)
+                box[i] = slice(int(np.searchsorted(
+                    coords[i], mech.reserve(i) + tol, side="right")))
+            no_sale = t[tuple(box)]                # a view: zeroes t there
+            np.minimum(no_sale, 0.0, out=no_sale)
         return t, [np.clip(p, 0.0, mech.vmax[i]) for i, p in enumerate(raw)]
 
     if tables is None:
         tables = mech.tables(coords)
     spread = [np.expand_dims(p, axis=i) for i, p in enumerate(tables)]
     t = least_winning_threshold(value_grids, spread, tol)
-    below = np.all([v <= p + tol for v, p in zip(value_grids, spread)],
-                   axis=0)                       # v_i <= p_i for all i
+    below = value_grids[0] <= spread[0] + tol    # v_i <= p_i for all i
+    for v, p in zip(value_grids[1:], spread[1:]):
+        below &= v <= p + tol
     if n == 2:
         below &= _no_sale_limits_2d(mech, value_grids, spread, tol)
-    t[below] = np.minimum(t[below], 0.0)
+    np.minimum(t, 0.0, out=t, where=below)
     return t, tables
 
 
@@ -434,21 +441,28 @@ def worst_case_lp(coords, t, instance: Instance):
     Returns ``(value, distribution, certificate)``; the distribution is a
     basic solution with at most n+1 atoms and the certificate carries the
     exact dual multipliers of the simplex basis.  The simplex starts from
-    the Freudenthal corners of the grid's box, which hold the means.
+    the Freudenthal corners of the grid's box, which hold the means;
+    ``DomainError`` when the table holds NaN or ``-inf``, or ``+inf`` at
+    one of those corners.  The atoms are the final basis's nodes with
+    probability above ``PROB_TOL``, in increasing node order.
     """
     n = instance.n
     coords, t = check_grid(coords, instance.vmax, t)
     shape, tvals = t.shape, t.ravel()
+    b = np.concatenate([[1.0], instance.mean_vector])
+    start = _freudenthal_corners(coords, b[1:])
+    if math.inf in tvals[start].tolist():       # NaN and -inf failed above
+        raise DomainError("revenue table is infinite at a corner of the "
+                          "grid's box")
     A = np.empty((n + 1, tvals.shape[0]))
     A[0] = 1.0
     for row, g in zip(A[1:], np.meshgrid(*coords, indexing="ij", sparse=True)):
         row.reshape(shape)[...] = g
-    b = np.concatenate([[1.0], instance.mean_vector])
-    res = solve_lp(tvals, A, b, start=_freudenthal_corners(coords, b[1:]))
+    res = solve_lp(tvals, A, b, start=start)
 
-    keep = res.x > PROB_TOL
-    probs = res.x[keep]
-    dist = DiscreteDistribution(A[1:, keep].T, probs / probs.sum(),
+    atoms = np.sort(res.basis[res.x[res.basis] > PROB_TOL])
+    probs = res.x[atoms]
+    dist = DiscreteDistribution(A[1:, atoms].T, probs / probs.sum(),
                                 vmax=instance.vmax)
     lam = res.duals[1:].copy()
     cert = DualCertificate(lambda0=float(res.duals[0]), lam=lam,

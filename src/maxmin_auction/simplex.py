@@ -62,10 +62,12 @@ def _run_simplex(c: np.ndarray, A: np.ndarray, inv: np.ndarray,
     """
     m = A.shape[0]
     binv, xb = inv[:, :m], inv[:, -1]      # views; _pivot updates inv in place
+    reduced = np.empty(A.shape[1])         # each pivot's prices, in place
     stalled = pivots = 0
     while True:
         y = c[basis] @ binv
-        reduced = c - y @ A
+        np.matmul(y, A, out=reduced)
+        np.subtract(c, reduced, out=reduced)
         if stalled > STALL_LIMIT:                  # Bland
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:

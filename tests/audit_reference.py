@@ -2,7 +2,11 @@
 went stacked and the merge went to floats: ``lagrangian_on_grid`` evaluated
 one threshold family per call, through its own grid check, mesh, envelope
 and ``dual_value``, and ``dedup_sorted`` snapped to its anchors and
-deduplicated with numpy.  The library must give these bits."""
+deduplicated with numpy.  Its winner rule takes a ``np.where`` per bidder
+and its strict no-sale mask is ``np.all`` over a stacked list, applied by
+a gather and a scatter: the forms that the library's in-place passes
+replaced (``test_envelope`` holds the winner rule to them too).  The
+library must give these bits."""
 
 import numpy as np
 

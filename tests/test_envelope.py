@@ -3,11 +3,17 @@ winner rule, against the routines they replaced: the per-node two-bidder
 no-sale test (``_zero_reachable_2d`` in its double loop over the grid) and
 ``lagrangian_on_grid``'s own win and no-sale loop.  Same tables and values,
 the same bits.  ``dual_value`` sums ``lam_i * v_i`` term by term where it
-took a matrix product, so it is held to a few ulps instead."""
+took a matrix product, so it is held to a few ulps instead.
+
+The references also keep the masks that the in-place passes replaced: the
+winner rule as a ``np.where`` per bidder (``audit_reference``), a score
+auction's no-sale region as a boolean mask over every node, and
+``worst_case_lp``'s atoms as the nodes of an N-wide ``x > PROB_TOL`` mask."""
 
 import numpy as np
 import pytest
 
+import audit_reference
 import maxmin_auction as ma
 from brute_force_oracle import grid_nodes
 from generators import (excluded_lsa, random_excluded_mechanism,
@@ -135,6 +141,14 @@ def reference_lagrangian(thresholds, lam, instance, coords):
     return float(lam @ instance.mean_vector + best)
 
 
+def reference_atoms(res, A):
+    """The atoms and probabilities of ``worst_case_lp`` as a boolean mask
+    over every node and a masked column gather picked them."""
+    keep = res.x > nature.PROB_TOL
+    probs = res.x[keep]
+    return A[1:, keep].T, probs / probs.sum()
+
+
 def reference_dual_value(coords, t, instance, lam):
     nodes = grid_nodes(coords)
     tvals = np.asarray(t, dtype=float).ravel()
@@ -144,7 +158,8 @@ def reference_dual_value(coords, t, instance, lam):
 
 def corpus():
     """Seeded generator mechanisms: score and tabulated auctions, excluded
-    bidders, LSAs with and without a zero reserve, and unequal bounds."""
+    bidders, LSAs with and without a zero reserve or any included bidder,
+    and unequal bounds."""
     rng = np.random.default_rng(4104)
     out = []
     for n in (2, 3):
@@ -160,6 +175,12 @@ def corpus():
     for vmax in ([1.0, 1.6], [1.5, 1.0]):         # unequal bounds
         lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, 2) * vmax, vmax)
         out += [lsa, ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))]
+    rng = np.random.default_rng(4106)
+    out += [ma.corner_hitting([1.0] * n, [1.0] * n) for n in (2, 3)]
+    out += [excluded_lsa(rng, 3, 2) for _ in range(2)]
+    vmax = [1.2, 1.4, 1.0]                        # unequal bounds, n = 3
+    lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, 3) * vmax, vmax)
+    out += [lsa, ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))]
     return out
 
 
@@ -244,3 +265,177 @@ def test_dual_value_within_a_few_ulps(k, mech):
             old = reference_dual_value(coords, t, inst, lam)
             assert abs(new - old) <= 2 * (mech.n + 2) * 2.3e-16 * scale
             assert nature.dual_value(coords, t.ravel(), inst, lam) == new
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def winner_rule_cases():
+    """Values and thresholds in shapes that broadcast to a 4 x 3 x 5 grid."""
+    rng = np.random.default_rng(4107)
+    axes = [np.sort(rng.uniform(0.0, 1.0, k)) for k in (4, 3, 5)]
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    dense = np.meshgrid(*axes, indexing="ij")
+    p = [np.expand_dims(rng.uniform(0.0, 1.0, shape), axis=i)
+         for i, shape in enumerate([(3, 5), (4, 5), (4, 3)])]
+    return {
+        "sparse-values": (sparse, p),
+        "dense-values": (dense, p),
+        "never-wins-scalar-inf": (sparse, [np.inf, p[1], p[2]]),
+        "table-missing-an-axis": (sparse, [p[0][0], p[1], p[2][:, :1]]),
+        "scalar-thresholds": (sparse, [0.5, 0.25, np.inf]),
+        "full-shape-thresholds": (sparse, [np.broadcast_to(q, (4, 3, 5))
+                                           for q in p]),
+        "stacked-families": (sparse, [np.stack([q, 0.9 * q]) for q in p]),
+        "one-bidder": (sparse[:1], p[:1]),
+        "nan-threshold": (sparse, [np.where(p[0] > 0.5, np.nan, p[0]),
+                                   p[1], p[2]]),
+        "thresholds-on-nodes": (sparse, [axes[0][1], axes[1][2],
+                                         np.full((4, 3, 1), axes[2][0])]),
+    }
+
+
+WINNER_RULE_CASES = winner_rule_cases()
+
+
+@pytest.mark.parametrize("case", sorted(WINNER_RULE_CASES))
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.3])
+def test_winner_rule_keeps_its_contract(case, tol):
+    """Any thresholds that broadcast to the grid give the np.where rule's
+    table, a new array, and leave their inputs alone."""
+    values, thresholds = WINNER_RULE_CASES[case]
+    before = [np.array(a, copy=True) for a in (*values, *thresholds)]
+    new = nature.least_winning_threshold(values, thresholds, tol)
+    old = audit_reference.least_winning_threshold(values, thresholds, tol)
+    assert same_bits(new, old)
+    assert all(new is not a for a in (*values, *thresholds))
+    assert all(same_bits(a, b) for a, b in
+               zip(before, (*values, *thresholds)))
+
+
+def box_edge_grids(lsa):
+    """Grids on which a no-sale box ends exactly on a node: the breakpoint
+    grid, which holds every reserve, and its 0.05 step, each with one more
+    node one tol above every positive reserve below its bound."""
+    tol = 1e-9 * max(1.0, max(lsa.vmax))
+    out = []
+    for coords in (nature.breakpoint_coords(lsa),
+                   nature.breakpoint_coords(lsa, step=0.05)):
+        edges = [[r + tol] if 0.0 < r and r + tol < vm else []
+                 for r, vm in zip(map(lsa.reserve, range(lsa.n)), lsa.vmax)]
+        out.append([np.unique(np.concatenate([c, e]))
+                    for c, e in zip(coords, edges)])
+    return out
+
+
+def box_lsas():
+    rng = np.random.default_rng(4108)
+    out = []
+    for n, vmax in ((2, [1.0, 1.0]), (3, [1.0, 1.0, 1.0]), (2, [1.0, 1.6]),
+                    (3, [1.0, 1.4, 0.8])):
+        for _ in range(3):
+            out.append(ma.corner_hitting(rng.uniform(0.05, 0.9, n) * vmax,
+                                         vmax))
+        r = rng.uniform(0.05, 0.9, n) * vmax
+        r[0] = vmax[0]                            # one bidder excluded
+        out.append(ma.corner_hitting(r, vmax))
+        r[0] = 0.0                                # a zero reserve: no box
+        out.append(ma.corner_hitting(r, vmax))
+    return out
+
+
+BOX_LSAS = box_lsas()
+
+
+@pytest.mark.parametrize("lsa", BOX_LSAS,
+                         ids=[f"lsa{m.n}-{k}" for k, m in enumerate(BOX_LSAS)])
+def test_no_sale_box_edges_match_reference(lsa):
+    for coords in box_edge_grids(lsa):
+        assert same_bits(nature.lower_revenue_table(lsa, coords),
+                         reference_lower_revenue_table(lsa, coords))
+
+
+def test_box_edge_grids_put_a_node_on_the_box_edge():
+    """Each positive, in-bound reserve is a node, and so is a node exactly
+    one tol above it, the last one its no-sale box holds."""
+    edges = 0
+    for lsa in BOX_LSAS:
+        tol = 1e-9 * max(1.0, max(lsa.vmax))
+        for coords in box_edge_grids(lsa):
+            for i in lsa.included():
+                r = lsa.reserve(i)
+                if 0.0 < r and r + tol < lsa.vmax[i]:
+                    assert r in coords[i] and r + tol in coords[i]
+                    edges += 1
+    assert edges >= 40
+
+
+def solved(coords, t, instance):
+    """``worst_case_lp``'s outputs, with the LP matrix and the simplex
+    result it read them from."""
+    seen, solve_lp = [], nature.solve_lp
+
+    def spy(*args, **kwargs):
+        seen.append((args[1], solve_lp(*args, **kwargs)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nature, "solve_lp", spy)
+        out = nature.worst_case_lp(coords, t, instance)
+    (A, res), = seen
+    return out, A, res
+
+
+def lp_cases():
+    """Each corpus envelope on its grids at seeded means, at means 0.5 and
+    at the nodes nearest the box's middle (degenerate final bases), and
+    tables affine in v, optimal at their start, with a mean PROB_TOL from
+    an end of its axis: a basic value of exactly PROB_TOL."""
+    cases = []
+    for k, mech in enumerate(MECHANISMS):
+        inst, _ = instance_and_multipliers(mech, k)
+        for coords in grids(mech):
+            t = nature.lower_revenue_table(mech, coords)
+            middle = [c[1:-1][np.argmin(np.abs(c[1:-1] - c[-1] / 2))]
+                      if len(c) > 2 else c[-1] / 2 for c in coords]
+            for means in (inst.means, [0.5] * mech.n, middle):
+                cases.append((coords, t, ma.Instance(mech.n, means,
+                                                     mech.vmax)))
+    for means, coords in (([nature.PROB_TOL, 0.5], [[0.0, 1.0],
+                                                    [0.0, 0.5, 1.0]]),
+                          ([0.5, 1.0 - nature.PROB_TOL], [[0.0, 1.0]] * 2),
+                          ([0.3, 0.3 + nature.PROB_TOL, 0.7],
+                           [[0.0, 1.0]] * 3)):
+        v = np.meshgrid(*coords, indexing="ij")
+        cases.append((coords, 0.25 + 0.5 * v[0] - 0.125 * v[-1],
+                      ma.Instance(len(means), means, 1.0)))
+    return cases
+
+
+LP_CASES = lp_cases()
+
+
+def test_lp_cases_cover_their_bases():
+    """Final bases out of node order among the atoms, unsorted bases with a
+    basic value at most PROB_TOL, and a basic value of exactly PROB_TOL."""
+    unsorted_atoms = unsorted_small = exact = 0
+    for coords, t, inst in LP_CASES:
+        _, _, res = solved(coords, t, inst)
+        xb = res.x[res.basis]
+        unsorted = bool(np.any(np.diff(res.basis) < 0))
+        unsorted_atoms += bool(np.any(
+            np.diff(res.basis[xb > nature.PROB_TOL]) < 0))
+        unsorted_small += unsorted and bool(np.any(xb <= nature.PROB_TOL))
+        exact += bool(np.any(xb == nature.PROB_TOL))
+    assert unsorted_atoms >= 100 and unsorted_small >= 10 and exact >= 1
+
+
+@pytest.mark.parametrize("case", range(len(LP_CASES)))
+def test_worst_case_lp_atoms_match_reference(case):
+    (value, dist, cert), A, res = solved(*LP_CASES[case])
+    atoms, probs = reference_atoms(res, A)
+    assert same_bits(dist.atoms, atoms) and same_bits(dist.probs, probs)
+    assert value == res.value and same_bits(cert.lam, res.duals[1:])

@@ -405,6 +405,48 @@ class TestGridChecks:
             call()
 
 
+class TestNonFiniteTables:
+    """A revenue table holding NaN or -inf anywhere, or +inf at a corner the
+    simplex starts from, is a ``DomainError`` before any pivot; +inf
+    elsewhere is a node Nature never picks."""
+    INST = ma.Instance(2, [0.5, 0.4], 1.0)
+    COORDS = [np.array([0.0, 0.5, 1.0])] * 2
+    START = (0, 6, 8)     # Freudenthal corners (0, 0), (1, 0), (1, 1)
+
+    def table(self, node, entry):
+        t = np.full(9, 0.2)
+        t[node] = entry
+        return t.reshape(3, 3)
+
+    def test_start_corners(self):
+        assert nature._freudenthal_corners(
+            self.COORDS, self.INST.means) == list(self.START)
+
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf])
+    @pytest.mark.parametrize("node", range(9))
+    def test_nan_or_minus_inf_anywhere_raises(self, entry, node):
+        t = self.table(node, entry)
+        with pytest.raises(DomainError, match="NaN or -inf"):
+            nature.worst_case_lp(self.COORDS, t, self.INST)
+        with pytest.raises(DomainError, match="NaN or -inf"):
+            nature.dual_value(self.COORDS, t, self.INST, [0.5, 0.5])
+
+    @pytest.mark.parametrize("node", START)
+    def test_inf_at_a_start_corner_raises(self, node):
+        with pytest.raises(DomainError, match="infinite at a corner"):
+            nature.worst_case_lp(self.COORDS, self.table(node, np.inf),
+                                 self.INST)
+
+    @pytest.mark.parametrize("node", sorted(set(range(9)) - set(START)))
+    def test_inf_elsewhere_is_never_an_atom(self, node):
+        t = self.table(node, np.inf)
+        value, dist, cert = nature.worst_case_lp(self.COORDS, t, self.INST)
+        assert value == pytest.approx(0.2, abs=1e-12)
+        assert cert.value == pytest.approx(0.2, abs=1e-12)
+        assert dist.mean() == pytest.approx(self.INST.means, abs=1e-12)
+        assert nature.dual_value(self.COORDS, t, self.INST, [0.0, 0.0]) == 0.2
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_lsa_revenue_table_is_finite_on_in_box_grids(seed):
