@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,22 +54,23 @@ class DualCertificate:
 # ---------------------------------------------------------------------------
 
 def dedup_sorted(values, tol: float, snap) -> np.ndarray:
-    """Sorted unique values; clusters within tol collapse to their first
-    member, except that clusters touching a ``snap`` anchor take the anchor
-    itself (keeps box endpoints exact, never one rounding off)."""
+    """Sorted unique values; clusters within tol (>= 0) collapse to their
+    first member, and the members within tol of a ``snap`` anchor (one run,
+    bisected 2 tol wide for rounding) become the anchor: exact box ends."""
     vals = np.sort(np.asarray(values, dtype=float)).tolist()
     keep = [vals[0]]
     for v in vals[1:]:
         if v - keep[-1] > tol:
             keep.append(v)
-    snap, out = [float(a) for a in snap], []
-    for x in keep:             # snapping is monotone: out stays sorted
-        for anchor in snap:
-            if abs(x - anchor) <= tol:
-                x = anchor
-        if not out or x != out[-1]:
-            out.append(x)
-    return np.asarray(out)
+    for anchor in map(float, snap):
+        lo = bisect_left(keep, anchor - 2 * tol)
+        hi = bisect_right(keep, anchor + 2 * tol, lo)
+        while lo < hi and not abs(keep[lo] - anchor) <= tol:
+            lo += 1
+        while hi > lo and not abs(keep[hi - 1] - anchor) <= tol:
+            hi -= 1
+        keep[lo:hi] = [anchor] if lo < hi else []
+    return np.asarray(keep)
 
 
 def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
@@ -94,8 +97,9 @@ def breakpoint_coords(mech, step: float | None = None) -> list[np.ndarray]:
 
 
 def _breakpoint_grid(mech, step: float | None):
-    """``breakpoint_coords`` and ``mech.tables`` on it: the closure's last
-    round when that round ran on exactly the returned axes, else None."""
+    """``breakpoint_coords`` and :func:`_tables` on it: the closure's last
+    round's when that round ran on exactly the returned axes, else None (an
+    LSA's always with a step, which refines the axes after the closure)."""
     if not isinstance(mech, (LinearScoreAuction, GridMechanism)):
         raise DomainError(f"Nature's grid takes a score auction or a grid "
                           f"mechanism, got {type(mech).__name__}")
@@ -125,23 +129,21 @@ def _breakpoint_grid(mech, step: float | None):
               for i in range(n)]
     for _ in range(rounds):
         grew, tabulated = False, list(coords)
-        induced = mech.tables(coords)        # before any axis grows this round
+        induced, read = _tables(mech, coords, raw=step is None)
         for i in range(n):
             merged = dedup_sorted(np.concatenate(
                 [coords[i], induced[i].ravel()]), tol, snap=(0.0, vmax[i]))
-            if len(merged) > max_per_axis:
-                merged = coords[i]
-            if len(merged) != len(coords[i]):
-                grew = True
-            coords[i] = merged
+            if len(merged) <= max_per_axis:
+                grew |= len(merged) != len(coords[i])
+                coords[i] = merged
         if not grew:
             break
     if step is not None:
         coords = [dedup_sorted(np.concatenate(
             [c, np.arange(0.0, vmax[i], step)]), tol,
             snap=(0.0, vmax[i])) for i, c in enumerate(coords)]
-    same = all(map(np.array_equal, tabulated, coords))
-    return coords, induced if same else None
+    same = read is not None and all(map(np.array_equal, tabulated, coords))
+    return coords, (induced, read) if same else None
 
 
 def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
@@ -151,26 +153,33 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     For monotone thresholds the iterations from the bottom and the top of the
     box approach the least and greatest fixed points of each pinned map; these
     are the no-sale corners Nature's worst case can occupy.  A map runs on its
-    free bidders' tables sliced at the pinned axes' index 0 (same bits).  A
-    start iterates until the cells its coordinates lie in and the clamp
-    pattern of its thresholds have held for three steps, then solves that
-    cell's fixed-point system exactly (:func:`_cell_fixed_point`).  Trying at
-    the first repeat instead lets Newton's method on an n >= 3 cell, started
-    far from the fixed point, land on another root of the multilinear system.
-    The solution ends the start only if it lies in the closed cell, keeps the
-    clamp pattern, sits on the iteration's side of the iterate (above it from
-    the bottom, below it from the top) and is a fixed point of the clamped map
-    to 1e-12; otherwise the start iterates on, trying each cell at most once.
-    Iteration alone stops once no coordinate moves more than 1e-10, or after
-    ``MAP_MAX_ITER`` steps.  When any start was not converged by iteration,
-    one debug line counts the starts solved in their cell, converged by
-    iteration and left at the cap.
+    free bidders' tables sliced at the pinned axes' index 0 (same bits).  The
+    map of a one-bidder face is constant: both starts read it at the zero node,
+    clamped, and count as converged by iteration.  On a larger face a start
+    iterates until the cells its coordinates lie in and the clamp pattern of
+    its thresholds have held for three steps, then solves that cell's system
+    exactly (:func:`_cell_fixed_point`).  Trying at the first repeat instead
+    lets Newton's method on an n >= 3 cell, started far from the fixed point,
+    land on another root of the multilinear system.  The solution ends the
+    start only if it lies in the closed cell, keeps the clamp pattern, sits on
+    the iteration's side of the iterate (above it from the bottom, below it
+    from the top) and is a fixed point of the clamped map to 1e-12; otherwise
+    the start iterates on, trying each cell at most once.  Iteration alone
+    stops once no coordinate moves more than 1e-10, or after ``MAP_MAX_ITER``
+    steps.  When any start was not converged by iteration, one debug line
+    counts the starts solved in their cell, converged by iteration and capped.
     """
     n, vmax, tol = mech.n, mech.vmax, 1e-12 * max(1.0, max(mech.vmax))
+    axes, index = [c.tolist() for c in mech.coords], operator.itemgetter(0)
     points, solved, capped = [], 0, 0
     for mask in range(2 ** n - 1):
         free = [i for i in range(n) if not mask >> i & 1]
-        coords = [mech.coords[i].tolist() for i in free]
+        if len(free) == 1:
+            p = 0.0 + 1.0 * mech.thresholds[free[0]].item(0)
+            points += [tuple(min(max(p, 0.0), vmax[j]) if j in free else 0.0
+                             for j in range(n))] * 2
+            continue
+        coords = [axes[i] for i in free]
         pick = [slice(None) if j in free else 0 for j in range(n)]
         tables = [(t.ravel().tolist(), t.shape) for t in (
             mech.thresholds[i][tuple(pick[:i] + pick[i + 1:])] for i in free)]
@@ -179,12 +188,12 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
             v = list(box) if top else [0.0] * len(free)
             last, prev, tried = None, None, set()
             for _ in range(MAP_MAX_ITER):
-                cells = [core.locate(c, x) for c, x in zip(coords, v)]
+                cells = list(map(core.locate, coords, v))
                 new, pattern = _pinned_map(tables, cells, box, tol)
                 v, old = new, v
-                if all(abs(a - b) <= 1e-10 for a, b in zip(v, old)):
+                if max(map(abs, map(operator.sub, v, old))) <= 1e-10:
                     break
-                key = (tuple(k for k, _ in cells), pattern)
+                key = (tuple(map(index, cells)), pattern)
                 if key == last == prev and key not in tried:
                     tried.add(key)
                     fixed = _cell_fixed_point(coords, tables, box, key, v,
@@ -212,10 +221,10 @@ def _pinned_map(tables, cells, vmax, tol: float):
     with the clamp pattern: 0 below zero, 2 above the bound, 1 otherwise (a
     threshold within ``tol`` of a bound counts as inside)."""
     new, pattern = [], []
-    for i, table in enumerate(tables):
-        p = core.multilinear(*table, cells[:i] + cells[i + 1:])
-        new.append(min(max(p, 0.0), vmax[i]))
-        pattern.append(0 if p < -tol else 2 if p > vmax[i] + tol else 1)
+    for i, ((flat, shape), top) in enumerate(zip(tables, vmax)):
+        p = core.multilinear(flat, shape, cells[:i] + cells[i + 1:])
+        new.append(min(max(p, 0.0), top))
+        pattern.append(0 if p < -tol else 2 if p > top + tol else 1)
     return new, tuple(pattern)
 
 
@@ -390,23 +399,28 @@ def lower_revenue_table(mech, coords) -> np.ndarray:
     return _lower_envelope(mech, coords)[0]
 
 
-def _lower_envelope(mech, coords, tables=None):
-    """``lower_revenue_table`` on checked axes, and the mechanism's tables
-    there with ``mech.tables(coords)``'s bits: the mechanism is tabulated
-    at most once, an LSA by its unclamped tables, which the envelope reads,
-    a grid mechanism only when its ``tables`` on coords are not given."""
-    n = len(coords)
-    scale = max(1.0, max(float(c[-1]) for c in coords))
-    tol = 1e-9 * scale
+def _tables(mech, coords, raw: bool = True):
+    """``mech.tables(coords)`` and the tables the lower envelope reads: an
+    LSA's unclamped ones, which clip to the first's bits (None unless raw)."""
+    if raw and isinstance(mech, LinearScoreAuction):
+        read = [mech.unclamped_table(i, coords) for i in range(mech.n)]
+        return [np.clip(p, 0.0, v) for p, v in zip(read, mech.vmax)], read
+    tables = mech.tables(coords)
+    return tables, None if isinstance(mech, LinearScoreAuction) else tables
+
+
+def _lower_envelope(mech, coords, closure=None):
+    """``lower_revenue_table`` on checked axes, and ``mech.tables(coords)``;
+    the tables are ``closure``, :func:`_tables` on coords, when it is given."""
+    n, tol = len(coords), 1e-9 * max(1.0, max(float(c[-1]) for c in coords))
     value_grids = np.meshgrid(*coords, indexing="ij", sparse=True)
+    tables, read = closure or _tables(mech, coords)
+    spread = [np.expand_dims(p, axis=i) for i, p in enumerate(read)]
+    # A bidder is a winner candidate where her value reaches her threshold,
+    # an LSA's raw one: above her bound she cannot win (unequal bounds only).
+    t = least_winning_threshold(value_grids, spread, tol)
 
     if isinstance(mech, LinearScoreAuction):
-        # A bidder is a winner candidate where her value reaches the raw
-        # score threshold; a threshold clamped at her bound means she cannot
-        # win there at all (this matters only under unequal bounds).
-        raw = [mech.unclamped_table(i, coords) for i in range(n)]
-        spread = [np.expand_dims(p, axis=i) for i, p in enumerate(raw)]
-        t = least_winning_threshold(value_grids, spread, tol)
         # No-sale profiles accumulate exactly below the reserves: a box of
         # axis prefixes, as every axis increases.
         if all(mech.reserve(i) > 0.0 for i in mech.included()):
@@ -416,12 +430,8 @@ def _lower_envelope(mech, coords, tables=None):
                     coords[i], mech.reserve(i) + tol, side="right")))
             no_sale = t[tuple(box)]                # a view: zeroes t there
             np.minimum(no_sale, 0.0, out=no_sale)
-        return t, [np.clip(p, 0.0, mech.vmax[i]) for i, p in enumerate(raw)]
+        return t, tables
 
-    if tables is None:
-        tables = mech.tables(coords)
-    spread = [np.expand_dims(p, axis=i) for i, p in enumerate(tables)]
-    t = least_winning_threshold(value_grids, spread, tol)
     below = value_grids[0] <= spread[0] + tol    # v_i <= p_i for all i
     for v, p in zip(value_grids[1:], spread[1:]):
         below &= v <= p + tol
@@ -518,8 +528,8 @@ def _price(mech, instance: Instance, step: float | None = None):
     tabulated once: by the grid's last closure round when it ran on the
     returned axes, else by the envelope."""
     check_compatible(mech, instance)
-    coords, tables = _breakpoint_grid(mech, step)
-    t, tables = _lower_envelope(mech, coords, tables)
+    coords, closure = _breakpoint_grid(mech, step)
+    t, tables = _lower_envelope(mech, coords, closure)
     value, dist, cert = worst_case_lp(coords, t, instance)
     return value, dist, cert, coords, tables
 
