@@ -155,23 +155,26 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
     are the no-sale corners Nature's worst case can occupy.  A map runs on its
     free bidders' tables sliced at the pinned axes' index 0 (same bits).  The
     map of a one-bidder face is constant: both starts read it at the zero node,
-    clamped, and count as converged by iteration.  On a larger face a start
-    iterates until the cells its coordinates lie in and the clamp pattern of
-    its thresholds have held for three steps, then solves that cell's system
-    exactly (:func:`_cell_fixed_point`).  Trying at the first repeat instead
-    lets Newton's method on an n >= 3 cell, started far from the fixed point,
-    land on another root of the multilinear system.  The solution ends the
-    start only if it lies in the closed cell, keeps the clamp pattern, sits on
-    the iteration's side of the iterate (above it from the bottom, below it
-    from the top) and is a fixed point of the clamped map to 1e-12; otherwise
-    the start iterates on, trying each cell at most once.  Iteration alone
-    stops once no coordinate moves more than 1e-10, or after ``MAP_MAX_ITER``
-    steps.  When any start was not converged by iteration, one debug line
-    counts the starts solved in their cell, converged by iteration and capped.
+    clamped, and count as converged by iteration.  A two-bidder face's least
+    and greatest fixed points are computed exactly, with no iteration
+    (:func:`_face_fixed_points`).  On a face with three or more free bidders a
+    start iterates until the cells its coordinates lie in and the clamp
+    pattern of its thresholds have held for three steps, then solves that
+    cell's system exactly (:func:`_cell_fixed_point`).  Trying at the first
+    repeat instead lets Newton's method on an n >= 3 cell, started far from
+    the fixed point, land on another root of the multilinear system.  The
+    solution ends the start only if it lies in the closed cell, keeps the
+    clamp pattern, sits on the iteration's side of the iterate (above it from
+    the bottom, below it from the top) and is a fixed point of the clamped
+    map to 1e-12; otherwise the start iterates on, trying each cell at most
+    once.  Iteration alone stops once no coordinate moves more than 1e-10,
+    or after ``MAP_MAX_ITER`` steps.  When a start was solved in its cell or
+    capped, one debug line counts the starts read off two-bidder faces,
+    solved in their cell, converged by iteration and capped.
     """
     n, vmax, tol = mech.n, mech.vmax, 1e-12 * max(1.0, max(mech.vmax))
     axes, index = [c.tolist() for c in mech.coords], operator.itemgetter(0)
-    points, solved, capped = [], 0, 0
+    points, swept, solved, capped = [], 0, 0, 0
     for mask in range(2 ** n - 1):
         free = [i for i in range(n) if not mask >> i & 1]
         if len(free) == 1:
@@ -181,9 +184,17 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
             continue
         coords = [axes[i] for i in free]
         pick = [slice(None) if j in free else 0 for j in range(n)]
-        tables = [(t.ravel().tolist(), t.shape) for t in (
-            mech.thresholds[i][tuple(pick[:i] + pick[i + 1:])] for i in free)]
+        sliced = [mech.thresholds[i][tuple(pick[:i] + pick[i + 1:])]
+                 for i in free]
         box, ends = [vmax[i] for i in free], []
+        if len(free) == 2:
+            for v in _face_fixed_points(*coords, *(t.tolist() for t in sliced),
+                                        *box, tol):
+                points.append(tuple(v[free.index(j)] if j in free else 0.0
+                                    for j in range(n)))
+            swept += 2
+            continue
+        tables = [(t.ravel().tolist(), t.shape) for t in sliced]
         for top in (False, True):
             v = list(box) if top else [0.0] * len(free)
             last, prev, tried = None, None, set()
@@ -209,11 +220,84 @@ def _map_corner_points(mech: GridMechanism) -> list[tuple[float, ...]]:
         points += [tuple(v[free.index(j)] if j in free else 0.0
                          for j in range(n)) for v in ends]
     if solved or capped:
-        logger.debug("corner map: %d starts, %d solved in their cell, %d "
-                     "converged by iteration, %d left at max_iter=%d",
-                     len(points), solved, len(points) - solved - capped,
-                     capped, MAP_MAX_ITER)
+        logger.debug("corner map: %d starts, %d read off two-bidder faces, "
+                     "%d solved in their cell, %d converged by iteration, %d "
+                     "left at max_iter=%d", len(points), swept, solved,
+                     len(points) - swept - solved - capped, capped,
+                     MAP_MAX_ITER)
     return points
+
+
+def _face_fixed_points(ca, cb, ta, tb, top_a: float, top_b: float,
+                       tol: float):
+    """Least and greatest fixed points of a two-bidder face's map
+    v_a = f_a(v_b), v_b = f_b(v_a): f_a interpolates ``ta`` over b's coords
+    ``cb`` and clamps it to [0, top_a], f_b interpolates ``tb`` over ``ca``.
+
+    Their v_a are the least and greatest roots of g(x) = f_a(f_b(x)) - x on
+    [0, top_a], where g(0) >= 0 >= g(top_a), and v_b = f_b(v_a).  g is
+    linear between its breakpoints: a's coords, where f_b is its clamped
+    table entry, and the x at which p_b, on the line through its nodes,
+    reaches a level where f_a(clamp(.)) kinks (b's coords, 0, top_b, and
+    where p_a meets 0 or top_a), where f_b is that level.  A sweep from
+    each end evaluates g at the breakpoints in order and stops at the first
+    one with 0 <= g <= tol (0 >= g >= -tol from the top), since the curves
+    often coincide on whole segments; where g passes the band instead, from
+    above tol to below 0, it returns the zero of the linear piece.  For
+    monotone tables these are the corners the iteration from the bottom and
+    the top of the box approaches; for others they are still the face's
+    extreme fixed points in v_a, which that iteration need not reach.
+    """
+    def f(c, t, top, x):
+        return min(max(core.multilinear(t, (len(t),), [core.locate(c, x)]),
+                       0.0), top)
+
+    levels = [0.0, top_b, *(y for y in cb if 0.0 < y < top_b)]
+    for k in range(len(cb) - 1):               # where p_a meets its clamps
+        t0, t1 = ta[k], ta[k + 1]
+        for level in (0.0, top_a):
+            if (t0 - level) * (t1 - level) < 0.0:
+                levels.append(cb[k] + (level - t0) / (t1 - t0)
+                              * (cb[k + 1] - cb[k]))
+    levels.sort()
+    points = [(0.0, f(ca, tb, top_b, 0.0))]          # (x, f_b(x)) pairs
+    for k in range(len(ca) - 1):
+        x0, x1, u0, u1 = ca[k], ca[k + 1], tb[k], tb[k + 1]
+        if u0 < u1:
+            cut = levels[bisect_right(levels, u0):bisect_left(levels, u1)]
+        else:
+            cut = levels[bisect_right(levels, u1):bisect_left(levels, u0)]
+            cut.reverse()
+        for y in cut:
+            x = x0 + (y - u0) / (u1 - u0) * (x1 - x0)
+            if 0.0 < x < top_a:
+                points.append((x, y))
+        if 0.0 < x1 < top_a:
+            points.append((x1, min(max(0.0 + u1, 0.0), top_b)))
+    points.append((top_a, f(ca, tb, top_b, top_a)))
+    ends = (_first_root(lambda x, y: f(cb, ta, top_a, y) - x, points, tol),
+            _first_root(lambda x, y: x - f(cb, ta, top_a, y), points[::-1],
+                        tol))
+    return [[x, f(ca, tb, top_b, x) if y is None else y] for x, y in ends]
+
+
+def _first_root(h, points, tol: float):
+    """The first of the points (x, y) with 0 <= h(x, y) <= tol, or the zero
+    of h on the line between the last point with h > tol and a next one
+    with h < 0, as (x, None); h >= 0 at the first point and <= 0 at the
+    last.  A sweep over -g from the top finds a zero on the same line as
+    one over g from the bottom, bit for bit."""
+    (x0, y0), rest = points[0], points[1:]
+    h0 = h(x0, y0)
+    for x, y in rest:
+        if h0 <= tol:
+            break
+        hx = h(x, y)
+        if hx < 0.0:             # in increasing x, the same bits both ways
+            (x0, h0), (x, hx) = sorted([(x0, h0), (x, hx)])
+            return x0 + h0 / (h0 - hx) * (x - x0), None
+        x0, y0, h0 = x, y, hx
+    return x0, y0
 
 
 def _pinned_map(tables, cells, vmax, tol: float):

@@ -31,27 +31,32 @@ def optimal_lambda(instance: Instance) -> tuple[np.ndarray, Optional[int], froze
     counts how many of the ascending-mean bidders carry a zero multiplier
     (None in the low-means regime).
     """
-    vmax = instance.common_vmax()
-    m = instance.mean_vector
-    n = instance.n
+    vmax, m, n = instance.common_vmax(), instance.means, instance.n
     if regime(instance) is Regime.LOW_MEANS:
-        lam = np.sqrt(vmax / (vmax - m)) - 1.0
-        return lam, None, frozenset()
+        lam = [math.sqrt(vmax / (vmax - mi)) - 1.0 for mi in m]
+        return np.array(lam), None, frozenset()
 
-    order = np.argsort(m, kind="stable")
-    roots = np.sqrt(vmax - m[order])
+    order = sorted(range(n), key=m.__getitem__)    # stable: ties keep order
+    roots = [math.sqrt(vmax - m[i]) for i in order]
     # cutoff rank, 1-based as sorted; k = n - 1 always qualifies, as every
     # mean is below vmax
     k_star = next(k for k in range(1, n)
-                  if roots[k:].sum() / roots[k - 1] > n - k - 1)
+                  if _sum(roots[k:]) / roots[k - 1] > n - k - 1)
     tail = roots[k_star - 1:]
-    level = tail.sum() / (n - k_star)
-    lam_sorted = np.zeros(n)
-    lam_sorted[k_star - 1:] = level / tail - 1.0
-    lam = np.empty(n)
-    lam[order] = lam_sorted
-    we = frozenset(int(order[i]) for i in range(k_star - 1))
-    return lam, k_star - 1, we
+    level = _sum(tail) / (n - k_star)
+    lam = [0.0] * n
+    for i, root in zip(order[k_star - 1:], tail):
+        lam[i] = level / root - 1.0
+    return np.array(lam), k_star - 1, frozenset(order[:k_star - 1])
+
+
+def _sum(values) -> float:
+    """Left to right, as numpy sums fewer than eight terms (from eight on
+    it sums pairwise, so longer sums may differ in their last bits)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -82,38 +87,40 @@ class OptimalSolution:
     guarantee: float
 
 
-def _guarantee(lam: np.ndarray, instance: Instance) -> float:
+def _guarantee(lam, instance: Instance) -> float:
     """sum(m * lam - lam**2 vmax / (1 + lam)): the worst-case revenue of the
     optimal auction, from its multipliers."""
-    return float(np.sum(instance.mean_vector * lam
-                        - lam ** 2 * instance.vmax_vector / (1.0 + lam)))
+    return float(_sum(m * x - x * x * v / (1.0 + x) for m, x, v in
+                      zip(instance.means, lam, instance.vmax)))
 
 
 def optimal_reserves(instance: Instance) -> OptimalSolution:
     """The canonical optimal reserve vector plus the full optimal set."""
-    vmax = instance.common_vmax()
-    m = instance.mean_vector
-    lam, k_star, we = optimal_lambda(instance)
+    vmax, m, n = instance.common_vmax(), instance.means, instance.n
+    lam_star, k_star, we = optimal_lambda(instance)
+    lam = lam_star.tolist()
     guarantee = _guarantee(lam, instance)
 
     if k_star is None:                          # the low-means regime
-        r = vmax - np.sqrt(vmax * (vmax - m))
-        rset = ReserveSet(kind="point", point=r.copy())
-        return OptimalSolution(Regime.LOW_MEANS, lam, None, we, r, rset, guarantee)
+        r = [vmax - math.sqrt(vmax * (vmax - mi)) for mi in m]
+        rset = ReserveSet(kind="point", point=np.array(r))
+        return OptimalSolution(Regime.LOW_MEANS, lam_star, None, we,
+                               np.array(r), rset, guarantee)
 
-    si = sorted(set(range(instance.n)) - we)
-    roots = np.sqrt(vmax - m[si])
-    s_min = (len(si) - 1) * vmax / roots.sum()
-    s_max = vmax / roots.max()
-    canonical = np.full(instance.n, vmax)       # excluded bidders priced out
-    canonical[si] = lam[si] * vmax / (1.0 + lam[si])
-    low = np.full(instance.n, vmax)
-    low[si] = vmax - s_max * roots
+    si = sorted(set(range(n)) - we)
+    roots = [math.sqrt(vmax - m[i]) for i in si]
+    s_min = (len(si) - 1) * vmax / _sum(roots)
+    s_max = vmax / max(roots)
+    canonical = [vmax] * n                      # excluded bidders priced out
+    low = [vmax] * n
+    for i, root in zip(si, roots):
+        canonical[i] = lam[i] * vmax / (1.0 + lam[i])
+        low[i] = vmax - s_max * root
     rset = ReserveSet(kind="segment", included=tuple(si),
-                      scale_range=(float(s_min), float(s_max)),
-                      endpoint_low=low, endpoint_high=canonical.copy())
-    return OptimalSolution(Regime.HIGH_MEANS, lam, k_star, we,
-                           canonical, rset, guarantee)
+                      scale_range=(s_min, s_max), endpoint_low=np.array(low),
+                      endpoint_high=np.array(canonical))
+    return OptimalSolution(Regime.HIGH_MEANS, lam_star, k_star, we,
+                           np.array(canonical), rset, guarantee)
 
 
 def reserve_is_optimal(r, instance: Instance) -> bool:

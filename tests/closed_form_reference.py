@@ -3,11 +3,15 @@
 dict, and the two-bidder worst case that checked its reserves once for
 itself and once more to classify them, and scored Type III's candidates
 through the checked ``lsa_lagrangian``; the asymmetric-bound guarantee that
-checked its input again to score its best vertex; and the six numpy
-reductions that validated a ``DiscreteDistribution``.  The library must give
-these bits and raise on the same input."""
+checked its input again to score its best vertex; the six numpy
+reductions that validated a ``DiscreteDistribution``; and the optimum
+``solve.optimal_reserves`` on numpy arrays (``argsort``, ``sqrt``, fancy
+indexing and ``sum`` on its n-entry vectors).  The library must give these
+bits and raise on the same input."""
 
 import numpy as np
+
+from maxmin_auction import solve
 
 from maxmin_auction.core import DiscreteDistribution
 from maxmin_auction.errors import BoundaryError, DomainError, RegimeError
@@ -200,3 +204,54 @@ def distribution(atoms, probs, vmax=None):
         if np.any(atoms > vm + 1e-12):
             raise DomainError("atom outside the box")
     return atoms, probs
+
+
+def optimal_lambda(instance):
+    vmax = instance.common_vmax()
+    m = instance.mean_vector
+    n = instance.n
+    if solve.regime(instance) is solve.Regime.LOW_MEANS:
+        lam = np.sqrt(vmax / (vmax - m)) - 1.0
+        return lam, None, frozenset()
+    order = np.argsort(m, kind="stable")
+    roots = np.sqrt(vmax - m[order])
+    k_star = next(k for k in range(1, n)
+                  if roots[k:].sum() / roots[k - 1] > n - k - 1)
+    tail = roots[k_star - 1:]
+    level = tail.sum() / (n - k_star)
+    lam_sorted = np.zeros(n)
+    lam_sorted[k_star - 1:] = level / tail - 1.0
+    lam = np.empty(n)
+    lam[order] = lam_sorted
+    we = frozenset(int(order[i]) for i in range(k_star - 1))
+    return lam, k_star - 1, we
+
+
+def guarantee(lam, instance):
+    return float(np.sum(instance.mean_vector * lam
+                        - lam ** 2 * instance.vmax_vector / (1.0 + lam)))
+
+
+def optimal_reserves(instance):
+    vmax = instance.common_vmax()
+    m = instance.mean_vector
+    lam, k_star, we = optimal_lambda(instance)
+    value = guarantee(lam, instance)
+    if k_star is None:
+        r = vmax - np.sqrt(vmax * (vmax - m))
+        rset = solve.ReserveSet(kind="point", point=r.copy())
+        return solve.OptimalSolution(solve.Regime.LOW_MEANS, lam, None, we, r,
+                                     rset, value)
+    si = sorted(set(range(instance.n)) - we)
+    roots = np.sqrt(vmax - m[si])
+    s_min = (len(si) - 1) * vmax / roots.sum()
+    s_max = vmax / roots.max()
+    canonical = np.full(instance.n, vmax)
+    canonical[si] = lam[si] * vmax / (1.0 + lam[si])
+    low = np.full(instance.n, vmax)
+    low[si] = vmax - s_max * roots
+    rset = solve.ReserveSet(kind="segment", included=tuple(si),
+                            scale_range=(float(s_min), float(s_max)),
+                            endpoint_low=low, endpoint_high=canonical.copy())
+    return solve.OptimalSolution(solve.Regime.HIGH_MEANS, lam, k_star, we,
+                                 canonical, rset, value)

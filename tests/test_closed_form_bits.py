@@ -2,11 +2,14 @@
 versions in ``closed_form_reference``: ``lsa_guarantee``'s value and
 multipliers, the two-bidder type, multipliers, guarantee and worst-case
 distribution, the asymmetric-bound guarantee's value and multipliers, and
-a ``DiscreteDistribution``'s stored atoms and probs compare by their bytes,
-and both raise on the same input."""
+a ``DiscreteDistribution``'s stored atoms and probs, and every field of
+``optimal_reserves`` compare by their bytes, and both raise on the same
+input."""
 
 import numpy as np
 import pytest
+
+import dataclasses
 
 import closed_form_reference as ref
 import maxmin_auction as ma
@@ -251,3 +254,51 @@ def test_distribution_checks_accept_and_reject_alike_on_random_input():
         dist = ma.DiscreteDistribution(atoms, probs, vmax=bound)
         assert same_bits(dist.atoms, atoms) and same_bits(dist.probs, probs)
     assert outcomes == {True, False}
+
+
+def optimum_corpus():
+    """Instances drawn as the design benchmark draws them, n = 2 to 5 (means
+    U(0.08, 0.92) times a common bound), on bounds 1 and 2.5, low and high
+    means, plus tied means (a stable sort decides the excluded set), means
+    near the bound and a bound 5e-13 apart."""
+    rng = np.random.default_rng(43)
+    out = []
+    for n in range(2, 6):
+        for vmax in (1.0, 2.5):
+            out += [random_instance(rng, n, vmax=vmax) for _ in range(60)]
+            out += [random_instance(rng, n, lo=0.6, hi=0.99, vmax=vmax)
+                    for _ in range(20)]
+            out += [random_instance(rng, n, lo=0.01, hi=0.2, vmax=vmax)
+                    for _ in range(10)]
+            m = np.full(n, rng.uniform(0.3, 0.95)) * vmax
+            out.append(ma.Instance(n, m, vmax))
+            m[: n // 2] = rng.uniform(0.3, 0.95) * vmax
+            out.append(ma.Instance(n, m, vmax))
+        out.append(ma.Instance(n, np.full(n, 0.5), [1.0] * (n - 1)
+                               + [1.0 + 5e-13]))
+    return out
+
+
+def test_optimal_reserves_keeps_its_bits():
+    corpus = optimum_corpus()
+    regimes = {ma.optimal_reserves(inst).regime for inst in corpus}
+    assert regimes == set(ma.Regime)
+    for inst in corpus:
+        new, old = ma.optimal_reserves(inst), ref.optimal_reserves(inst)
+        for field in dataclasses.fields(new):
+            a, b = getattr(new, field.name), getattr(old, field.name)
+            if field.name == "reserve_set":
+                for part in dataclasses.fields(a):
+                    x, y = getattr(a, part.name), getattr(b, part.name)
+                    assert type(x) is type(y)
+                    if isinstance(x, np.ndarray) or part.name == "scale_range":
+                        assert same_bits(x, y)
+                    else:
+                        assert x == y
+            elif isinstance(a, np.ndarray):
+                assert type(b) is np.ndarray and same_bits(a, b)
+            else:
+                assert type(a) is type(b) and a == b
+        lam, k_star, we = ma.optimal_lambda(inst)
+        ref_lam, ref_k, ref_we = ref.optimal_lambda(inst)
+        assert same_bits(lam, ref_lam) and (k_star, we) == (ref_k, ref_we)

@@ -1,7 +1,11 @@
 """The face-by-face corner map and the unrolled one- and two-axis
-interpolation give the bits of the full pinned map and the generic loop
-(``corner_map_reference``): corners, breakpoint grids and interpolated
-values compare by their bytes, so even the sign of a zero must agree."""
+interpolation against the full pinned map and the generic loop
+(``corner_map_reference``).  Faces with one free bidder and faces with three
+or more keep the full map's bits, compared by bytes, so even the sign of a
+zero must agree.  A two-bidder face is solved exactly, so its corners are
+checked against ``face_oracle`` to 1e-12 instead, and every corner of a
+face with one or two free bidders must be a fixed point of its clamped
+pinned map to 1e-12 (times the largest bound, when that exceeds 1)."""
 
 import itertools
 
@@ -10,10 +14,11 @@ import pytest
 
 import maxmin_auction as ma
 from corner_map_reference import generic_multilinear, map_corner_points
+from face_oracle import free_counts, with_oracle_faces
 from generators import excluded_lsa, random_score_auction, tabulated_auction
 from maxmin_auction import core, nature
 from test_corner_map import (CORNER_CASES, capped_mechanism,
-                             still_capped_mechanism)
+                             pinned_map_residuals, still_capped_mechanism)
 
 
 def same_bits(a, b):
@@ -21,22 +26,43 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def oracle_corners(mech):
+    """The full map's corners with every two-bidder face's from
+    ``face_oracle``."""
+    return with_oracle_faces(mech, map_corner_points(mech))
+
+
+def assert_corners_by_face(mech, corners):
+    """Faces with one or three or more free bidders keep the full map's
+    bits; two-bidder faces match the oracle to 1e-12; every corner of a face
+    with one or two free bidders is a fixed point to the map's tolerance,
+    1e-12 times the largest bound when that exceeds 1."""
+    ref = map_corner_points(mech)
+    ref, expected = np.array(ref), np.array(with_oracle_faces(mech, ref))
+    corners, free = np.array(corners), free_counts(mech.n)
+    assert len(corners) == len(ref) == 2 * (2 ** mech.n - 1)
+    two = free == 2
+    assert same_bits(corners[~two], ref[~two])
+    assert np.all(np.abs(corners[two] - expected[two]) <= 1e-12)
+    assert np.all(pinned_map_residuals(mech, corners)[free <= 2]
+                  <= 1e-12 * max(1.0, max(mech.vmax)))
+
+
 def reference_coords(mech):
-    """``breakpoint_coords`` with the reference corners merged."""
+    """``breakpoint_coords`` with :func:`oracle_corners` merged."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nature, "_map_corner_points", map_corner_points)
+        mp.setattr(nature, "_map_corner_points", oracle_corners)
         return nature.breakpoint_coords(mech)
 
 
 def assert_matches_reference(mech):
-    corners = nature._map_corner_points(mech)
-    ref = map_corner_points(mech)
-    assert len(corners) == len(ref) == 2 * (2 ** mech.n - 1)
-    assert np.array_equal(corners, ref) and same_bits(corners, ref)
+    """Corners by face, and the breakpoint grid within 1e-12 of the grid
+    the oracle's corners give, axis lengths equal."""
+    assert_corners_by_face(mech, nature._map_corner_points(mech))
     new, old = nature.breakpoint_coords(mech), reference_coords(mech)
-    assert len(new) == len(old)
+    assert [len(a) for a in new] == [len(b) for b in old]
     for a, b in zip(new, old):
-        assert np.array_equal(a, b) and same_bits(a, b)
+        assert np.all(np.abs(a - b) <= 1e-12)
 
 
 FACE_CASES = [(k, m) for k, m in CORNER_CASES if m.n >= 3]
@@ -129,8 +155,10 @@ def test_coordinates_just_below_zero_stay_within_the_stop_rule():
     """A coordinate list may start anywhere within 1e-12 of 0.  The full map
     locates a pinned 0 on a list that starts at -1e-13 at a weight of about
     1e-13 / width past the first node; a face reads the first node itself.
-    The corners and breakpoint grids stay within the map's 1e-10 stop rule
-    of the full map's."""
+    The corners of faces with one or three free bidders and the breakpoint
+    grids stay within the map's 1e-10 stop rule of the full map's (two-bidder
+    faces taken from the oracle), and two-bidder faces match the oracle to
+    1e-12."""
     rng = np.random.default_rng(5)
     for _ in range(40):
         mech = random_score_auction(rng, 3)
@@ -138,9 +166,13 @@ def test_coordinates_just_below_zero_stay_within_the_stop_rule():
         for c in coords[:2]:
             c[0] = -1e-13
         mech = ma.GridMechanism(coords, mech.thresholds)
-        corners, ref = nature._map_corner_points(mech), map_corner_points(mech)
+        corners, ref = nature._map_corner_points(mech), oracle_corners(mech)
         assert len(corners) == len(ref) == 14
-        assert np.allclose(corners, ref, rtol=0.0, atol=1e-10)
+        two = free_counts(3) == 2
+        assert np.allclose(np.array(corners)[~two], np.array(ref)[~two],
+                           rtol=0.0, atol=1e-10)
+        assert np.all(np.abs(np.array(corners)[two] - np.array(ref)[two])
+                      <= 1e-12)
         new, old = nature.breakpoint_coords(mech), reference_coords(mech)
         assert [len(a) for a in new] == [len(b) for b in old]
         for a, b in zip(new, old):

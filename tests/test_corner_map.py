@@ -3,9 +3,10 @@ reference loop they replaced.
 
 The reference is the plain 200-step monotone iteration.  Where its starts
 converge exactly (tabulated auctions, excluded bidders) the map must give
-the same bits.  On score auctions the map solves each start's cell exactly,
-so there its corners must be fixed points to 1e-12 and agree with every
-converged reference start to 1e-7."""
+the same bits, except on two-bidder faces, which the map solves exactly and
+``face_oracle`` checks to 1e-12.  On score auctions the map solves each
+start's cell exactly, so there its corners must be fixed points to 1e-12 and
+agree with every converged reference start to 1e-7."""
 
 import itertools
 import logging
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import maxmin_auction as ma
+from face_oracle import free_counts, with_oracle_faces
 from generators import (multilinear_batch, random_excluded_mechanism,
                         random_feasible_mechanism, random_instance,
                         random_score_auction, sample_near_miss,
@@ -196,8 +198,11 @@ def test_corner_points_and_coords_match_reference(kind, mech):
                       <= 1e-7)
         old = reference_breakpoint_coords(mech, corners=corners)
     else:
-        assert np.array_equal(np.array(corners), np.array(ref))
-        old = reference_breakpoint_coords(mech)
+        two = free_counts(mech.n) == 2
+        assert np.array_equal(np.array(corners)[~two], np.array(ref)[~two])
+        expected = np.array(with_oracle_faces(mech, ref))
+        assert np.all(np.abs(np.array(corners)[two] - expected[two]) <= 1e-12)
+        old = reference_breakpoint_coords(mech, corners=corners)
     new = nature.breakpoint_coords(mech)
     assert len(new) == len(old)
     for a, b in zip(new, old):
@@ -307,10 +312,12 @@ def test_capped_starts_are_logged(caplog):
         nature._map_corner_points(capped_mechanism())
         nature._map_corner_points(still_capped_mechanism())
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.DEBUG, "corner map: 14 starts, 8 solved in their cell, "
-                        "6 converged by iteration, 0 left at max_iter=200"),
-        (logging.DEBUG, "corner map: 14 starts, 7 solved in their cell, "
-                        "6 converged by iteration, 1 left at max_iter=200")]
+        (logging.DEBUG, "corner map: 14 starts, 6 read off two-bidder "
+                        "faces, 2 solved in their cell, 6 converged by "
+                        "iteration, 0 left at max_iter=200"),
+        (logging.DEBUG, "corner map: 14 starts, 6 read off two-bidder "
+                        "faces, 2 solved in their cell, 6 converged by "
+                        "iteration, 0 left at max_iter=200")]
 
 
 def test_each_cell_is_solved_at_most_once_per_start(monkeypatch):
