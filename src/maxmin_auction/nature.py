@@ -16,6 +16,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -425,52 +426,53 @@ def least_winning_threshold(values, thresholds, tol: float) -> np.ndarray:
     return t
 
 
-def _one_sided_slopes(c, t, z, tol: float):
-    """Left and right slopes of the table t over the increasing c at each z:
-    the two cells beside the node of c nearest z when it is within tol, the
-    one cell holding z otherwise; zero past either end.  A cell no wider
-    than tol across which t moves by no more than tol is part of its node,
-    and the next cell out gives the slope; a jump across one keeps its own."""
-    dc, dt = np.diff(c), np.diff(t)
-    cell = np.concatenate([[True], (dc > tol) | (np.abs(dt) > tol), [True]])
-    s = np.concatenate([[0.0], dt / dc, [0.0]])  # s[j]: cell j-1, 0 off the ends
-    j = np.arange(len(s))         # prev/nxt: nearest counted s index <= / >= j
-    prev = np.maximum.accumulate(np.where(cell, j, 0))
-    nxt = np.minimum.accumulate(np.where(cell, j, j[-1])[::-1])[::-1]
-    k = np.searchsorted((c[:-1] + c[1:]) / 2, z)  # the node nearest z
-    d = z - c[k]                  # z's cell is k - 1 below it, k above it
-    return s[prev[k + (d > tol)]], s[nxt[k + (d >= -tol)]]
+def _one_sided_slopes(c, t, tol: float):
+    """Left and right slopes of the table t over the increasing c at z, by a
+    function built once: the cells beside the node of c nearest z within
+    tol, else the cell holding z; zero past either end.  A cell no wider
+    than tol across which t moves by no more than tol is part of its node
+    (None in s), and the next counted cell out gives the slope."""
+    c, t = c.tolist(), t.tolist()
+    s = [0.0, *((t1 - t0) / (c1 - c0) if c1 - c0 > tol or abs(t1 - t0) > tol
+                else None for c0, c1, t0, t1 in zip(c, c[1:], t, t[1:])), 0.0]
+    left, right = (list(accumulate(order, lambda s0, s1: s0 if s1 is None
+                                   else s1)) for order in (s, s[::-1]))
+    mid, right = [(c0 + c1) / 2 for c0, c1 in zip(c, c[1:])], right[::-1]
+
+    def slopes(z):                 # s[j] is cell j - 1
+        k = bisect_left(mid, z)    # the node nearest z
+        d = z - c[k]               # z's cell is k - 1 below it, k above it
+        return left[k + (d > tol)], right[k + (d >= -tol)]
+    return slopes
 
 
-def _no_sale_limits_2d(mech: GridMechanism, value_grids, tables,
-                       tol: float) -> np.ndarray:
-    """Which nodes of a two-bidder grid can a no-sale sequence approach?
-
-    Linearized test on the one-sided slopes of the mechanism's own tables:
-    a node where a threshold binds counts only when some direction into the
-    box strictly undercuts every binding threshold.  Meaningful where
-    v <= p + tol for both bidders.
-    """
-    x, y = value_grids                          # open mesh: a column, a row
+def _no_sale_limits_2d(mech: GridMechanism, x, y, tables, below,
+                       tol: float) -> None:
+    """Clear each tie (some v_i >= p_i - tol) of a two-bidder weak no-sale
+    mask ``below`` on the open mesh x, y that no no-sale sequence approaches.
+    By the mechanism's own one-sided slopes, a tie counts when a direction
+    into the box strictly undercuts every binding threshold: with one, when
+    her value can fall (else it and her threshold are within tol of 0, and
+    the entry within 2 tol of 0 either way)."""
     act1, act2 = x >= tables[0] - tol, y >= tables[1] - tol
-    # p1 varies over v2, p2 over v1
-    g1m, g1p = _one_sided_slopes(mech.coords[1], mech.thresholds[0], y, tol)
-    g2m, g2p = _one_sided_slopes(mech.coords[0], mech.thresholds[1], x, tol)
-    x_dn, x_up = x > tol, x < mech.vmax[0] - tol
-    y_dn, y_up = y > tol, y < mech.vmax[1] - tol
-    stol = 1e-9
-    # One threshold binds: a limit wherever that bidder's value can fall.
-    # Where it cannot, her value and threshold are both within tol of 0,
-    # so the entry is within 2 tol of 0 either way.
-    only1, only2 = x_dn, y_dn
-    # Both thresholds bind: a direction (dx, dy) must strictly undercut both.
-    both = ((x_dn & (g2m < -stol)) | (y_dn & (g1m < -stol))
-            | (x_dn & y_dn & ((g1m <= stol) | (g2m <= stol)
-                              | (g1m * g2m < 1.0 - stol)))
-            | (x_up & y_up & (g1p > stol) & (g2p > stol)
-               & (g1p * g2p > 1.0 + stol)))
-    return np.where(act1, np.where(act2, both, only1),
-                    np.where(act2, only2, True))
+    ties = np.flatnonzero(np.logical_and(act1 | act2, below))
+    slopes1 = _one_sided_slopes(mech.coords[1], mech.thresholds[0], tol)
+    slopes2 = _one_sided_slopes(mech.coords[0], mech.thresholds[1], tol)
+    x, y, width = x.ravel().tolist(), y.ravel().tolist(), y.size
+    (top1, top2), stol = (v - tol for v in mech.vmax), 1e-9
+    for k, on1, on2 in zip(ties.tolist(), act1.take(ties).tolist(),
+                           act2.take(ties).tolist()):
+        a, b = divmod(k, width)
+        x_dn, y_dn = x[a] > tol, y[b] > tol
+        limit = x_dn if on1 else y_dn
+        if on1 and on2:             # p1 varies over v2, p2 over v1
+            (g1m, g1p), (g2m, g2p) = slopes1(y[b]), slopes2(x[a])
+            limit = ((x_dn and g2m < -stol) or (y_dn and g1m < -stol)
+                     or (x_dn and y_dn and (g1m <= stol or g2m <= stol
+                                            or g1m * g2m < 1.0 - stol))
+                     or (x[a] < top1 and y[b] < top2 and g1p > stol
+                         and g2p > stol and g1p * g2p > 1.0 + stol))
+        below.flat[k] = limit
 
 
 def lower_revenue_table(mech, coords) -> np.ndarray:
@@ -520,7 +522,7 @@ def _lower_envelope(mech, coords, closure=None):
     for v, p in zip(value_grids[1:], spread[1:]):
         below &= v <= p + tol
     if n == 2:
-        below &= _no_sale_limits_2d(mech, value_grids, spread, tol)
+        _no_sale_limits_2d(mech, *value_grids, spread, below, tol)
     np.minimum(t, 0.0, out=t, where=below)
     return t, tables
 

@@ -2,8 +2,12 @@
 winner rule, against the routines they replaced: the per-node two-bidder
 no-sale test (``_zero_reachable_2d`` in its double loop over the grid) and
 ``lagrangian_on_grid``'s own win and no-sale loop.  Same tables and values,
-the same bits.  ``dual_value`` sums ``lam_i * v_i`` term by term where it
-took a matrix product, so it is held to a few ulps instead.
+the same bits.  The reference's slopes sit on the node nearest each value
+and pass over a narrow flat cell, the rule that
+``test_optset.py::test_no_sale_limits_beside_a_narrow_jump`` pins: the
+loop's own lookup, the last node within tol above the value, read the far
+side of a narrow jump.  ``dual_value`` sums ``lam_i * v_i`` term by term
+where it took a matrix product, so it is held to a few ulps instead.
 
 The references also keep the masks that the in-place passes replaced: the
 winner rule as a ``np.where`` per bidder (``audit_reference``), a score
@@ -20,6 +24,7 @@ from generators import (excluded_lsa, random_excluded_mechanism,
                         random_score_auction, tabulated_auction)
 from maxmin_auction import nature
 from maxmin_auction.improve import AffineThresholds
+from test_optset import rising_step, step_mechanism
 
 
 def reference_zero_reachable_2d(mech, x, y, p1, p2, tol):
@@ -35,18 +40,24 @@ def reference_zero_reachable_2d(mech, x, y, p1, p2, tol):
     can_y_dn, can_y_up = y > tol, y < vmax[1] - tol
 
     def slopes(i, c, z):
-        def cell(a, b):
-            return (mech.threshold(i, [b]) - mech.threshold(i, [a])) / (b - a)
+        def cell(k, step):
+            # cell k's slope; a cell no wider than tol across which p_i moves
+            # by no more than tol is part of its node: go on in direction
+            # step to the next one; zero past either end
+            while 0 <= k < len(c) - 1:
+                a, b = c[k], c[k + 1]
+                pa, pb = mech.threshold(i, [a]), mech.threshold(i, [b])
+                if b - a > tol or abs(pb - pa) > tol:
+                    return (pb - pa) / (b - a)
+                k += step
+            return 0.0
 
-        k = int(np.searchsorted(c, z + tol) - 1)
-        k = min(max(k, 0), len(c) - 1)
-        if abs(z - c[k]) <= tol:
-            lo = cell(c[k - 1], c[k]) if k > 0 else 0.0
-            hi = cell(c[k], c[k + 1]) if k < len(c) - 1 else 0.0
-        else:
-            hi = cell(c[k], c[min(k + 1, len(c) - 1)]) if k < len(c) - 1 else 0.0
-            lo = hi
-        return lo, hi
+        # z sits on the node of c nearest it, by midpoints; within tol of
+        # it, the cells beside it count, else the cell holding z
+        k = sum(bool((c[j] + c[j + 1]) / 2 < z) for j in range(len(c) - 1))
+        d = z - c[k]
+        return (cell(k - 1 if d <= tol else k, -1),
+                cell(k if d >= -tol else k - 1, 1))
 
     g1m, g1p = slopes(0, c1, y)
     g2m, g2p = slopes(1, c2, x)
@@ -181,7 +192,23 @@ def corpus():
     vmax = [1.2, 1.4, 1.0]                        # unequal bounds, n = 3
     lsa = ma.corner_hitting(rng.uniform(0.0, 0.9, 3) * vmax, vmax)
     out += [lsa, ma.grid_from_lsa(lsa, nature.breakpoint_coords(lsa))]
-    return out
+    return out + narrow_cells()
+
+
+def narrow_cells():
+    """Two-bidder mechanisms with a cell 1e-10 or 1e-6 wide, on either side
+    of the tie tolerance, where the slope rules decide: the threshold jumps
+    of ``step_mechanism`` and ``rising_step`` and ROADMAP item 1's residue
+    pair, and a flat cell 1e-10 wide at the top of an axis."""
+    out = []
+    for w in (1e-10, 1e-6):
+        c = [[0.0, 0.2, 0.8, 1.0], [0.0, 0.5, 0.5 + w, 1.0]]
+        out += [step_mechanism(w), rising_step(w), ma.GridMechanism(c, c)]
+    c = [0.0, 0.5882352941176471, 0.7529411764705882, 1.0 - 1e-10, 1.0]
+    return out + [ma.GridMechanism(
+        [[0.0, 0.4117647058823529, 0.6470588235294118, 1.0], c],
+        [[0.0, 0.4117647058823529, 0.6470588235294118, 1.0, 1.0],
+         [0.30000000000000004, *c[1:4]]])]
 
 
 MECHANISMS = corpus()
@@ -227,6 +254,14 @@ def test_lower_revenue_table_matches_reference(mech):
         old = reference_lower_revenue_table(mech, coords)
         assert new.shape == old.shape
         assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("mech", narrow_cells())
+def test_narrow_cells_match_reference_on_a_fine_grid(mech):
+    """About a hundred nodes per axis put many ties beside a narrow cell."""
+    coords = nature.breakpoint_coords(mech, step=0.01)
+    assert same_bits(nature.lower_revenue_table(mech, coords),
+                     reference_lower_revenue_table(mech, coords))
 
 
 @pytest.mark.parametrize("k, mech", enumerate(MECHANISMS), ids=IDS)
